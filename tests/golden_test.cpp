@@ -7,7 +7,9 @@
 // efficiency, makespan, mean wait, secondary starts, executed events, and
 // the FNV-1a event-stream digest per cell. Any drift — a behaviour change
 // in the scheduler, workload generation, seed derivation, or the event
-// engine — fails the suite.
+// engine — fails the suite. GoldenCoDecisions (below) additionally pins
+// the bytes of the co-allocation decision trace in
+// tests/golden/co_decisions.json.
 //
 // Refreshing the baselines after an INTENDED behaviour change:
 //
@@ -25,7 +27,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "audit/fnv.hpp"
+#include "obs/trace.hpp"
 #include "runner/runner.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -170,6 +176,172 @@ std::string golden_name(
 INSTANTIATE_TEST_SUITE_P(AllStrategies, Golden,
                          ::testing::ValuesIn(core::all_strategies()),
                          golden_name);
+
+// --- Co-allocation decision-trace digests ------------------------------------
+//
+// The metrics baselines above pin outcomes; this one pins how the
+// co-allocation scan explains them. For every co strategy x gate mode x
+// SMT degree, one saturated run (queues build, a quarter of the jobs
+// refuse sharing so resident_not_shareable tallies appear) is traced, and
+// tests/golden/co_decisions.json pins the FNV-1a digest, record count and
+// byte count of its co_decision records — scanned/admissible counts,
+// every per-reason tally, the chosen nodes — and of the whole decision
+// trace. Any change to the scan's cost model that moves one byte of its
+// explanation fails here. Refreshed with --update-golden like the rest.
+
+constexpr int kCoNodes = 24;
+constexpr int kCoJobs = 160;
+constexpr double kCoLoad = 2.5;
+constexpr double kCoShareableProb = 0.75;
+/// Every pair inside the default 1.4 dilation cap already promises a
+/// combined throughput of at least 2/1.4, so below_threshold only shows
+/// up once theta exceeds 0.43.
+constexpr double kCoPairingThreshold = 0.45;
+
+struct StreamDigest {
+  std::int64_t records = 0;
+  std::int64_t bytes = 0;
+  audit::Fnv64 fnv;
+
+  void add(const std::string& line) {
+    ++records;
+    bytes += static_cast<std::int64_t>(line.size()) + 1;
+    for (char c : line) fnv.mix_byte(static_cast<std::uint8_t>(c));
+    fnv.mix_byte('\n');
+  }
+};
+
+struct CoCell {
+  core::StrategyKind strategy;
+  core::GateMode gate;
+  int threads_per_core;
+};
+
+std::vector<CoCell> co_cells() {
+  std::vector<CoCell> cells;
+  for (const core::StrategyKind kind :
+       {core::StrategyKind::kCoBackfill, core::StrategyKind::kCoFirstFit,
+        core::StrategyKind::kCoConservative}) {
+    for (const core::GateMode gate :
+         {core::GateMode::kOracle, core::GateMode::kClassRule,
+          core::GateMode::kLearned}) {
+      for (const int tpc : {2, 4}) cells.push_back({kind, gate, tpc});
+    }
+  }
+  return cells;
+}
+
+std::string co_cell_name(const CoCell& cell) {
+  return std::string(core::to_string(cell.strategy)) + "/" +
+         core::to_string(cell.gate) + "/tpc" +
+         std::to_string(cell.threads_per_core);
+}
+
+/// Runs one cell with a buffering tracer and returns its decision trace.
+std::vector<std::string> trace_co_cell(const CoCell& cell) {
+  const auto catalog = apps::Catalog::trinity();
+  obs::Tracer tracer;
+  slurmlite::SimulationSpec spec;
+  spec.controller.nodes = kCoNodes;
+  spec.controller.node_config.smt_per_core = cell.threads_per_core;
+  spec.controller.strategy = cell.strategy;
+  spec.controller.scheduler_options.co.gate_mode = cell.gate;
+  spec.controller.scheduler_options.co.pairing_threshold =
+      kCoPairingThreshold;
+  spec.controller.tracer = &tracer;
+  spec.workload = workload::trinity_stream(kCoNodes, kCoJobs, kCoLoad);
+  spec.workload.shareable_prob = kCoShareableProb;
+  spec.seed = derive_seed(kBaseSeed, 0);
+  (void)slurmlite::run_simulation(spec, catalog);
+  return tracer.lines();
+}
+
+bool is_co_decision(const std::string& line) {
+  return line.find("\"type\":\"co_decision\"") != std::string::npos;
+}
+
+std::string co_cell_json(const CoCell& cell,
+                         const std::vector<std::string>& lines) {
+  StreamDigest all;
+  StreamDigest co;
+  for (const std::string& line : lines) {
+    all.add(line);
+    if (is_co_decision(line)) co.add(line);
+  }
+  JsonWriter w;
+  w.begin_object()
+      .value("cell", co_cell_name(cell))
+      .value("co_records", co.records)
+      .value("co_bytes", co.bytes)
+      .value("co_fnv", hex64(co.fnv.digest()))
+      .value("trace_records", all.records)
+      .value("trace_bytes", all.bytes)
+      .value("trace_fnv", hex64(all.fnv.digest()))
+      .end_object();
+  return w.str();
+}
+
+TEST(GoldenCoDecisions, TraceDigestsMatchPinnedBaseline) {
+  const std::string path =
+      std::string(COSCHED_GOLDEN_DIR) + "/co_decisions.json";
+  std::vector<std::string> got;
+  // The fixture must exercise what the golden claims to pin: every
+  // verdict the scan can tally appears in some cell's co_decision records.
+  std::vector<std::string> unseen = {
+      "\"resident_not_shareable\":", "\"walltime_fence\":",
+      "\"dilation_cap\":",           "\"below_threshold\":",
+      "\"class_mismatch\":",         "\"candidate_not_shareable\"",
+      "\"accepted\":true"};
+  for (const CoCell& cell : co_cells()) {
+    const std::vector<std::string> lines = trace_co_cell(cell);
+    got.push_back(co_cell_json(cell, lines));
+    for (const std::string& line : lines) {
+      if (!is_co_decision(line)) continue;
+      std::erase_if(unseen, [&](const std::string& needle) {
+        return line.find(needle) != std::string::npos;
+      });
+    }
+  }
+  EXPECT_TRUE(unseen.empty()) << "fixture never produced " << unseen.front();
+
+  if (update_mode()) {
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << "[\n";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      out << got[i] << (i + 1 < got.size() ? ",\n" : "\n");
+    }
+    out << "]\n";
+    SUCCEED() << "rewrote " << path;
+    return;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden baseline " << path
+      << " — run cosched_tests --update-golden to create it";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const JsonValue golden = parse_json(buf.str());
+  const auto& want = golden.as_array();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const JsonValue g = parse_json(got[i]);
+    const std::string cell = g.at("cell").as_string();
+    ASSERT_EQ(want[i].at("cell").as_string(), cell);
+    for (const char* key :
+         {"co_records", "co_bytes", "trace_records", "trace_bytes"}) {
+      EXPECT_EQ(want[i].at(key).as_number(), g.at(key).as_number())
+          << key << " drifted in " << cell;
+    }
+    for (const char* key : {"co_fnv", "trace_fnv"}) {
+      EXPECT_EQ(want[i].at(key).as_string(), g.at(key).as_string())
+          << key << " drifted in " << cell
+          << " — co-allocation decisions or their explanation changed; if "
+             "intended, refresh with --update-golden";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace cosched
