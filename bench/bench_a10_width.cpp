@@ -14,7 +14,6 @@
 #include <chrono>
 
 #include "bench_common.hpp"
-#include "runner/parallel_reduce.hpp"
 
 namespace {
 
@@ -39,7 +38,7 @@ std::vector<int> parse_list(const std::string& csv) {
 
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  auto env = bench::BenchEnv::from_flags(flags, "bench_a10_width");
+  const auto env = bench::BenchEnv::from_flags(flags, "bench_a10_width");
   const auto catalog = apps::Catalog::trinity();
   const auto strategy =
       core::parse_strategy(flags.get_string("strategy", "cobackfill"));
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
   const auto node_list =
       parse_list(flags.get_string("nodes-list", "1024,4096,16384,32768"));
   const int jobs = static_cast<int>(flags.get_int("jobs", 100000));
-  const int pass_threads = runner::resolve_threads(env.pass_threads);
 
   Table t({"nodes", "jobs", "wall (s)", "sched (s)", "passes",
            "blk skip/pass", "arena (KiB)", "events", "makespan (h)"});
@@ -62,13 +60,6 @@ int main(int argc, char** argv) {
     spec.queue = sim::QueueKind::kCalendar;
     obs::Registry registry;
     spec.controller.registry = &registry;
-    std::optional<runner::ParallelRunner> pass_pool;
-    std::optional<runner::ParallelForReduce> pass_exec;
-    if (pass_threads > 1) {
-      pass_pool.emplace(pass_threads);
-      pass_exec.emplace(*pass_pool);
-      spec.controller.pass_executor = &*pass_exec;
-    }
 
     const workload::Generator generator(spec.workload, catalog);
     workload::GeneratorJobSource source(generator, Pcg32(spec.seed, 0x5eed));

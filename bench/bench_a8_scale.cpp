@@ -12,15 +12,13 @@
 //     getrusage peak RSS is process-cumulative, so the sweep reports
 //     time only.
 //   --single: runs exactly ONE configuration (--queue heap|calendar,
-//     --stream, --retire, --pass-threads) and prints a JSON record with
-//     wall seconds, scheduler-pass seconds (--profile arms the sampler),
-//     peak RSS, and the resolved pass_threads count. BENCH_pr5.json's
-//     headline cell runs one process per configuration so the RSS numbers
-//     are honest; BENCH_pr7.json uses the pass_threads/sched_s fields to
-//     attribute intra-pass speedup. --retire frees each job record at its
-//     final state (flat memory); --rss-every N adds current-RSS
-//     checkpoints every N streamed jobs so flatness is visible in the
-//     record, not just the peak.
+//     --stream, --retire) and prints a JSON record with wall seconds,
+//     scheduler-pass seconds (--profile arms the sampler), peak RSS and
+//     CPU time. BENCH_pr5.json's headline cell runs one process per
+//     configuration so the RSS numbers are honest. --retire frees each
+//     job record at its final state (flat memory); --rss-every N adds
+//     current-RSS checkpoints every N streamed jobs so flatness is
+//     visible in the record, not just the peak.
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -28,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "obs/process_stats.hpp"
-#include "runner/parallel_reduce.hpp"
 #include "trace/swf.hpp"
 
 namespace {
@@ -67,9 +64,9 @@ slurmlite::SimulationSpec make_spec(int nodes, int jobs,
 
 struct CellResult {
   double wall_s = 0;
-  /// Wall clock spent inside scheduler passes (ControllerStats) — the
-  /// phase --pass-threads accelerates. Nonzero only when --profile armed
-  /// the sampler; the event loop and ingestion are the remainder.
+  /// Wall clock spent inside scheduler passes (ControllerStats). Nonzero
+  /// only when --profile armed the sampler; the event loop and ingestion
+  /// are the remainder.
   double sched_s = 0;
   double makespan_h = 0;
   std::size_t events = 0;
@@ -154,9 +151,7 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("single", false)) {
     // One configuration, one process: the JSON record's peak_rss_mb is
-    // attributable to exactly this queue/ingestion combination, and its
-    // pass_threads field to exactly this intra-pass fan-out (so
-    // BENCH_pr7.json can attribute pass-phase speedup to --pass-threads).
+    // attributable to exactly this queue/ingestion combination.
     const std::string queue_name = flags.get_string("queue", "calendar");
     const bool stream = flags.get_bool("stream", false);
     const bool retire = flags.get_bool("retire", false);
@@ -170,17 +165,6 @@ int main(int argc, char** argv) {
     auto spec = make_spec(env.nodes, env.jobs, strategy, env.base_seed,
                           load, queue);
     spec.controller.retire_finished = retire;
-    // This is the one-giant-simulation regime intra-pass parallelism is
-    // for: a single cell, so the runner pool is otherwise idle and the
-    // executor's re-entry restriction (one live simulation) holds.
-    const int pass_threads = runner::resolve_threads(env.pass_threads);
-    std::optional<runner::ParallelRunner> pass_pool;
-    std::optional<runner::ParallelForReduce> pass_exec;
-    if (pass_threads > 1) {
-      pass_pool.emplace(pass_threads);
-      pass_exec.emplace(*pass_pool);
-      spec.controller.pass_executor = &*pass_exec;
-    }
     const auto cell = run_cell(spec, catalog, stream, rss_every);
     // Shared getrusage probe (obs/process_stats.hpp); peak_rss_mb keeps
     // its historical name for the BENCH_pr5/pr7 consumers.
@@ -190,7 +174,6 @@ int main(int argc, char** argv) {
               << ", \"stream\": " << (stream ? "true" : "false")
               << ", \"retire\": " << (retire ? "true" : "false")
               << ", \"strategy\": \"" << core::to_string(strategy) << "\""
-              << ", \"pass_threads\": " << pass_threads
               << ", \"hardware_concurrency\": " << process.hardware_concurrency
               << ", \"wall_s\": " << cell.wall_s
               << ", \"sched_s\": " << cell.sched_s

@@ -1,6 +1,6 @@
 // Shared machinery for the reproduction benches: multi-seed simulation
 // sweeps with mean +/- bootstrap-CI aggregation, and uniform flag handling
-// (--csv, --seeds, --nodes, --jobs, --seed, --threads, --pass-threads).
+// (--csv, --seeds, --nodes, --jobs, --seed, --threads).
 //
 // Sweeps fan their (seed, config) cells out over a runner::ParallelRunner
 // (share-nothing; results collected in submission order), so aggregates
@@ -42,11 +42,6 @@ struct BenchEnv {
   int jobs = 500;
   /// Worker threads for the sweep cells; 0 = hardware_concurrency.
   int threads = 0;
-  /// Intra-pass scoring threads (--pass-threads) for benches that run ONE
-  /// simulation per process (bench_a8_scale --single); 0 = hardware, 1 =
-  /// inline serial. Sweep benches ignore it: a pass executor re-enters
-  /// the runner pool, so cells fanned over that pool must leave it off.
-  int pass_threads = 1;
   /// Root of the per-cell seed derivation (--seed).
   std::uint64_t base_seed = 1;
   /// --profile: arm the wall-clock phase profiler; finish() reports it.
@@ -71,7 +66,6 @@ struct BenchEnv {
     env.nodes = static_cast<int>(flags.get_int("nodes", 32));
     env.jobs = static_cast<int>(flags.get_int("jobs", 500));
     env.threads = static_cast<int>(flags.get_int("threads", 0));
-    env.pass_threads = static_cast<int>(flags.get_int("pass-threads", 1));
     env.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     env.profile = flags.get_bool("profile", false);
     env.metrics_json = flags.get_string("metrics-json", "");
@@ -93,7 +87,6 @@ struct BenchEnv {
     env.manifest.seed = env.base_seed;
     env.manifest.nodes = env.nodes;
     env.manifest.jobs = env.jobs;
-    env.manifest.pass_threads = env.pass_threads;
     env.manifest.threads = env.threads;
     return env;
   }

@@ -22,8 +22,6 @@
 
 namespace cosched::core {
 
-class PassExecutor;  // core/parallel.hpp
-
 /// The system view and action surface a scheduler operates through.
 class SchedulerHost {
  public:
@@ -67,15 +65,6 @@ class SchedulerHost {
 
   /// Metrics registry, or nullptr when metrics collection is off.
   virtual obs::Registry* registry() const { return nullptr; }
-
-  // --- Intra-pass parallelism (optional; see core/parallel.hpp) --------------
-
-  /// Executor for parallel candidate scoring inside one scheduler pass,
-  /// or nullptr (the default) to scan inline on the pass thread — the
-  /// serial differential reference. Attaching an executor must never
-  /// change a decision, a trace byte, or an event digest
-  /// (tests/pass_parity_test.cpp pins this at 1/2/3/8 pass threads).
-  virtual PassExecutor* pass_executor() const { return nullptr; }
 
   // --- Actions ---------------------------------------------------------------
 

@@ -13,7 +13,7 @@
 // fuzzy matching; the first normalized mismatch IS the divergence (every
 // later mismatch is downstream fallout of it). Normalization strips the
 // "execution" block from manifest records: two runs that differ only in
-// pass_threads/threads/grain/build are *required* to produce otherwise
+// threads/stream/build are *required* to produce otherwise
 // identical streams, so execution metadata must not count as divergence.
 #pragma once
 

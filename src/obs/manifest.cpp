@@ -40,9 +40,7 @@ void write_manifest_fields(JsonWriter& w, const RunManifest& m,
   w.value("jobs", m.jobs);
   if (include_execution) {
     w.begin_object("execution");
-    w.value("pass_threads", m.pass_threads);
     w.value("threads", m.threads);
-    w.value("grain", m.grain);
     w.value("stream", m.stream);
     w.value("build", m.build.empty() ? build_flavor() : m.build);
     w.end_object();

@@ -10,8 +10,8 @@
 //     byte-identical event streams; `cosched diff` treats a mismatch
 //     here as a configuration error, not a divergence.
 //
-//   * execution — how the run was carried out (pass_threads, runner
-//     threads, grain, streaming ingestion, build flavor). These may
+//   * execution — how the run was carried out (runner threads,
+//     streaming ingestion, build flavor). These may
 //     differ between runs that are required to agree byte-for-byte
 //     (that is the paper's whole claim), so `cosched diff` and
 //     `cosched report` strip the execution block before comparing.
@@ -43,9 +43,7 @@ struct RunManifest {
   std::int64_t jobs = 0;
 
   // --- execution (non-semantic: stripped before byte-comparisons) ---
-  int pass_threads = 1;
   int threads = 1;
-  std::int64_t grain = 0;        ///< pass-executor min grain, 0 = serial
   bool stream = false;           ///< streaming job ingestion
   std::string build;             ///< compile-time flavor, see build_flavor()
 };

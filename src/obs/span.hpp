@@ -12,7 +12,7 @@
 // Determinism contract: every timestamp is sim-time; the JSON dump orders
 // fields statically and quantiles are integer-rank bucket lookups, so two
 // identical runs serialize byte-identical span reports at any thread
-// count (pinned by tests/pass_parity_test.cpp).
+// count (pinned by FleetParity in tests/fleet_test.cpp).
 #pragma once
 
 #include <cstdint>

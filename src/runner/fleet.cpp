@@ -29,10 +29,6 @@ FleetResult run_fleet(ParallelRunner& pool, const FleetSpec& fleet,
                       const apps::Catalog& catalog) {
   COSCHED_REQUIRE(fleet.cells > 0,
                   "fleet needs at least one cell, got " << fleet.cells);
-  // A pass executor inside a cell would re-enter the pool the cells are
-  // already fanned over; the runner's batch protocol does not nest.
-  COSCHED_REQUIRE(fleet.cell.controller.pass_executor == nullptr,
-                  "fleet cells must not carry a pass executor");
   COSCHED_REQUIRE(fleet.cell.controller.registry == nullptr &&
                       fleet.cell.controller.spans == nullptr &&
                       fleet.cell.controller.tracer == nullptr,

@@ -32,9 +32,7 @@ namespace cosched::runner {
 
 struct FleetSpec {
   /// Per-cell prototype. Its seed is overwritten per cell and hash_events
-  /// is forced on (per-cell digests feed the fleet digest); its
-  /// pass_executor must be unset — cells already fan out over the pool,
-  /// and a pass executor would re-enter it.
+  /// is forced on (per-cell digests feed the fleet digest).
   slurmlite::SimulationSpec cell;
   /// Root of the per-cell seed derivation: cell c runs with
   /// derive_seed(base_seed, c).

@@ -27,8 +27,7 @@ Controller::Controller(sim::Engine& engine, const ControllerConfig& config,
       requeue_on_failure_(config.requeue_on_failure),
       tracer_(config.tracer),
       registry_(config.registry),
-      spans_(config.spans),
-      pass_executor_(config.pass_executor) {
+      spans_(config.spans) {
   if (tracer_ != nullptr) tracer_->bind(engine_);
   machine_.set_tracer(tracer_);
   if (retire_) meter_.reset(config.nodes);

@@ -98,14 +98,6 @@ struct ControllerConfig {
   /// stream_metrics(), the digest from fold_retired_digests()). See DESIGN
   /// "Fleet scale" for the retirement rules.
   bool retire_finished = false;
-
-  /// Intra-pass parallel scoring executor (core/parallel.hpp), optional
-  /// and non-owning; must outlive the controller. nullptr (the default)
-  /// scans candidates inline — the serial differential reference.
-  /// Attaching one never changes a decision (PassParity pins this).
-  /// One executor serves ONE live simulation: it re-enters the runner
-  /// pool, so sweep cells fanned over that same pool must leave it null.
-  core::PassExecutor* pass_executor = nullptr;
 };
 
 struct ControllerStats {
@@ -203,9 +195,6 @@ class Controller final : public core::SchedulerHost,
   void start_secondary(JobId id, const std::vector<NodeId>& nodes) override;
   obs::Tracer* tracer() const override { return tracer_; }
   obs::Registry* registry() const override { return registry_; }
-  core::PassExecutor* pass_executor() const override {
-    return pass_executor_;
-  }
 
   /// Decayed per-user usage for fair-share (read-only access for tools).
   const core::UsageTracker& usage() const { return usage_; }
@@ -362,8 +351,6 @@ class Controller final : public core::SchedulerHost,
   /// engine outlives the controller in run_with — engine is declared
   /// first).
   std::unique_ptr<obs::SnapshotSampler> sampler_;
-  // Non-owning, may be nullptr (config.pass_executor).
-  core::PassExecutor* pass_executor_;
 };
 
 }  // namespace cosched::slurmlite

@@ -110,9 +110,7 @@ TEST(DiffStreams, ManifestExecutionBlockIsIgnored) {
   m.jobs = 10;
 
   RunManifest other = m;
-  other.pass_threads = 8;
   other.threads = 4;
-  other.grain = 64;
   other.stream = true;
 
   Tracer a;

@@ -11,7 +11,6 @@
 
 #include "obs/manifest.hpp"
 #include "runner/fleet.hpp"
-#include "runner/parallel_reduce.hpp"
 #include "runner/runner.hpp"
 #include "workload/campaign.hpp"
 
@@ -145,14 +144,6 @@ TEST(Fleet, MergesRegistriesAndSpansAcrossCells) {
 }
 
 // --- Prototype validation ----------------------------------------------------
-
-TEST(Fleet, RejectsPrototypeWithPassExecutor) {
-  runner::ParallelRunner pool(2);
-  runner::ParallelForReduce executor(pool);
-  runner::FleetSpec fleet = small_fleet(2, /*stream=*/false);
-  fleet.cell.controller.pass_executor = &executor;
-  EXPECT_THROW(runner::run_fleet(pool, fleet, trinity()), Error);
-}
 
 TEST(Fleet, RejectsPrototypeWithInstruments) {
   runner::ParallelRunner pool(1);

@@ -466,9 +466,7 @@ RunManifest sample_manifest() {
   m.seed = 7;
   m.nodes = 16;
   m.jobs = 80;
-  m.pass_threads = 4;
   m.threads = 2;
-  m.grain = 64;
   m.stream = true;
   return m;
 }
@@ -480,7 +478,7 @@ TEST(Manifest, SplitsDecisionIdentityFromExecution) {
   EXPECT_EQ(full.at("strategy").as_string(), "cobackfill");
   EXPECT_EQ(full.at("seed").as_number(), 7.0);
   ASSERT_TRUE(full.has("execution"));
-  EXPECT_EQ(full.at("execution").at("pass_threads").as_number(), 4.0);
+  EXPECT_EQ(full.at("execution").at("threads").as_number(), 2.0);
   EXPECT_TRUE(full.at("execution").at("stream").as_bool());
   EXPECT_FALSE(full.at("execution").at("build").as_string().empty());
 
@@ -492,9 +490,8 @@ TEST(Manifest, SplitsDecisionIdentityFromExecution) {
     EXPECT_TRUE(full.has(key)) << key;
   }
   RunManifest other = m;
-  other.pass_threads = 1;
   other.threads = 1;
-  other.grain = 0;
+  other.stream = false;
   EXPECT_EQ(manifest_json(m, false), manifest_json(other, false));
 }
 
@@ -506,7 +503,7 @@ TEST(Manifest, TracerStampsManifestAsFirstRecord) {
   EXPECT_EQ(rec.at("type").as_string(), "manifest");
   EXPECT_EQ(rec.at("t_us").as_number(), 0.0);
   EXPECT_EQ(rec.at("tool").as_string(), "cosched");
-  EXPECT_EQ(rec.at("execution").at("pass_threads").as_number(), 4.0);
+  EXPECT_EQ(rec.at("execution").at("threads").as_number(), 2.0);
 }
 
 TEST(Trace, EngineEventLabelsAppear) {

@@ -5,18 +5,13 @@
 //                    [--stream-load RHO] [--seed N] [--stream]
 //                    [--sacct] [--gantt out.csv] [--swf-out out.swf]
 //                    [--json out.json] [--trace out.jsonl]
-//                    [--metrics-json out.json] [--profile]
-//                    [--pass-threads N] [--retire]
+//                    [--metrics-json out.json] [--profile] [--retire]
 //                    # --stream pulls jobs lazily (SWF or generator), so a
 //                    # 100k-job trace never materializes; decisions are
 //                    # identical to the default materialized path
 //                    # --retire frees each job record as it finishes:
 //                    # with --stream, memory is flat in trace length
 //                    # (metrics/digest come from streaming side tables)
-//                    # --pass-threads parallelizes candidate scoring
-//                    # INSIDE each scheduler pass (0 = hardware, default
-//                    # 1 = inline serial); every output byte is identical
-//                    # for every N (PassParity pins this)
 //   cosched compare  --config FILE [--jobs N] [--seed N] [--csv]
 //                    [--threads N]   # parallel fan-out; output is
 //                                    # identical for every N
@@ -34,8 +29,7 @@
 //                    # JSON report: manifest (decision identity only), job
 //                    # lifecycle span percentiles, golden metrics, stats,
 //                    # and the deterministic registry instruments. The
-//                    # bytes are identical across repeated runs of a seed
-//                    # and across --pass-threads values.
+//                    # bytes are identical across repeated runs of a seed.
 //   cosched fleet    [--cells N] [--threads N] [--nodes N] [--jobs N]
 //                    [--seed N] [--strategy NAME] [--config FILE]
 //                    [--campaign trinity|membound|compute]
@@ -49,8 +43,8 @@
 //                    # align two trace streams and report the first
 //                    # divergent record with decoded context (reason
 //                    # codes, pass boundaries, involved nodes/jobs).
-//                    # Manifest execution blocks (pass_threads, build,
-//                    # ...) are ignored: runs that differ only there are
+//                    # Manifest execution blocks (threads, build, ...)
+//                    # are ignored: runs that differ only there are
 //                    # required to agree everywhere else. Exit 0 when
 //                    # identical, 1 on divergence.
 //   cosched analyze  [paths...] [--format human|json] [--baseline FILE]
@@ -86,7 +80,6 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "runner/fleet.hpp"
-#include "runner/parallel_reduce.hpp"
 #include "runner/runner.hpp"
 #include "slurmlite/config.hpp"
 #include "slurmlite/report.hpp"
@@ -177,8 +170,7 @@ class ShareableFromCatalog final : public workload::JobSource {
 /// config; execution fields record how this invocation was carried out.
 obs::RunManifest manifest_from(const Flags& flags, const char* command,
                                const slurmlite::ControllerConfig& config,
-                               std::uint64_t seed, bool stream,
-                               int pass_threads) {
+                               std::uint64_t seed, bool stream) {
   obs::RunManifest m;
   m.command = command;
   m.strategy = core::to_string(config.strategy);
@@ -196,12 +188,7 @@ obs::RunManifest manifest_from(const Flags& flags, const char* command,
   // SWF replays learn their job count only by draining the trace; the
   // manifest is stamped up front, so record "unknown" rather than a lie.
   m.jobs = trace.empty() ? flags.get_int("jobs", 300) : -1;
-  m.pass_threads = pass_threads;
   m.threads = 1;
-  m.grain = pass_threads > 1
-                ? static_cast<std::int64_t>(
-                      runner::ParallelForReduce::kDefaultMinGrain)
-                : 0;
   m.stream = stream;
   return m;
 }
@@ -304,20 +291,8 @@ int cmd_sim(const Flags& flags) {
       every > 0) {
     spec.controller.snapshot_period = from_seconds(every);
   }
-  // --pass-threads: intra-pass candidate scoring over a worker pool
-  // (0 = hardware concurrency). A resolved count of 1 leaves the executor
-  // detached — the inline serial path every historical run took.
-  const int pass_threads = runner::resolve_threads(
-      static_cast<int>(flags.get_int("pass-threads", 1)));
-  std::optional<runner::ParallelRunner> pass_pool;
-  std::optional<runner::ParallelForReduce> pass_exec;
-  if (pass_threads > 1) {
-    pass_pool.emplace(pass_threads);
-    pass_exec.emplace(*pass_pool);
-    spec.controller.pass_executor = &*pass_exec;
-  }
   const obs::RunManifest manifest =
-      manifest_from(flags, "sim", config, seed, stream, pass_threads);
+      manifest_from(flags, "sim", config, seed, stream);
   // The manifest is the first trace record (t_us = 0), stamped before the
   // run so even an aborted run leaves a self-describing artifact.
   if (!trace_path.empty()) tracer.manifest(manifest);
@@ -378,7 +353,7 @@ int cmd_sim(const Flags& flags) {
 // manifest (decision identity only — no execution block), span
 // percentiles, golden metrics, stats sans the wall-clock CPU field, and
 // the registry instruments sans "_wall_" names. Identical bytes across
-// repeated runs of a seed and across --pass-threads values.
+// repeated runs of a seed.
 int cmd_report(const Flags& flags) {
   const auto catalog = apps::Catalog::trinity();
   const auto config = load_config(flags);
@@ -396,17 +371,8 @@ int cmd_report(const Flags& flags) {
       every > 0) {
     spec.controller.snapshot_period = from_seconds(every);
   }
-  const int pass_threads = runner::resolve_threads(
-      static_cast<int>(flags.get_int("pass-threads", 1)));
-  std::optional<runner::ParallelRunner> pass_pool;
-  std::optional<runner::ParallelForReduce> pass_exec;
-  if (pass_threads > 1) {
-    pass_pool.emplace(pass_threads);
-    pass_exec.emplace(*pass_pool);
-    spec.controller.pass_executor = &*pass_exec;
-  }
   const obs::RunManifest manifest =
-      manifest_from(flags, "report", config, seed, stream, pass_threads);
+      manifest_from(flags, "report", config, seed, stream);
   const auto result = run_from_flags(flags, spec, catalog, seed, stream);
 
   // Metrics/stats fragments come from the same field writers as the sim
@@ -462,8 +428,7 @@ int cmd_fleet(const Flags& flags) {
   fleet.cell.workload = campaign_params(flags, config.nodes);
 
   obs::RunManifest manifest =
-      manifest_from(flags, "fleet", config, seed, fleet.stream,
-                    /*pass_threads=*/1);
+      manifest_from(flags, "fleet", config, seed, fleet.stream);
   manifest.threads = threads;
 
   runner::ParallelRunner pool(threads);
