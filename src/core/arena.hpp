@@ -13,10 +13,9 @@
 //
 // Determinism: the arena hands out storage, never values — no scheduling
 // decision can observe where scratch lives. Thread safety: none; each
-// lane owns its arena (the serial gate's lives in its GateScratch, each
-// parallel shard's in its ShardResult, the execution model's on the
-// controller thread), which is exactly the share-nothing discipline the
-// pass executor already enforces. bytes_high_water() feeds the
+// owner keeps its own arena (the co-allocation gate's lives in its
+// CoAllocator, the execution model's on the controller thread), both
+// confined to one simulation cell. bytes_high_water() feeds the
 // `arena_bytes_wall` gauge — reporting only, excluded from byte-compared
 // registry dumps by the `_wall` suffix convention.
 #pragma once
