@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -54,6 +55,21 @@ double parse_number(const std::string& key, const std::string& value) {
   }
 }
 
+/// A number that must be finite and at least `min`. NaN, infinities and
+/// out-of-range values fail here, naming the key, instead of reaching the
+/// scheduler's and topology's preconditions as an abort.
+double parse_at_least(const char* name, const std::string& key,
+                      const std::string& value, double min) {
+  const double v = parse_number(key, value);
+  if (!std::isfinite(v) || v < min) {
+    std::ostringstream msg;
+    msg << name << " expects a finite number >= " << min << ", got '"
+        << value << "'";
+    throw Error(msg.str());
+  }
+  return v;
+}
+
 }  // namespace
 
 ControllerConfig parse_config(std::istream& in) {
@@ -100,9 +116,10 @@ ControllerConfig parse_config(std::istream& in) {
       }
     } else if (key == "pairingthreshold") {
       config.scheduler_options.co.pairing_threshold =
-          parse_number(key, value);
+          parse_at_least("PairingThreshold", key, value, 0.0);
     } else if (key == "maxdilation") {
-      config.scheduler_options.co.max_dilation = parse_number(key, value);
+      config.scheduler_options.co.max_dilation =
+          parse_at_least("MaxDilation", key, value, 1.0);
     } else if (key == "gatemode") {
       const std::string v = lower(value);
       if (v == "oracle") {
@@ -133,7 +150,8 @@ ControllerConfig parse_config(std::istream& in) {
     } else if (key == "switchsize") {
       config.topology.switch_size = parse_int(key, value);
     } else if (key == "switchpenalty") {
-      config.topology.penalty_per_extra_switch = parse_number(key, value);
+      config.topology.penalty_per_extra_switch =
+          parse_at_least("SwitchPenalty", key, value, 0.0);
     } else if (key == "placement") {
       const std::string v = lower(value);
       if (v == "lowest-id" || v == "lowestid") {

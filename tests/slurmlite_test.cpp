@@ -378,6 +378,45 @@ TEST(Config, ExtendedKeysRejectBadValues) {
   EXPECT_THROW(parse_config(bad_pred), Error);
 }
 
+TEST(Config, GateAndTopologyKnobsRejectNonFiniteAndOutOfRange) {
+  // Each of these used to parse and then abort on a precondition check
+  // (or, for MaxDilation=inf, run silently with no dilation cap at all).
+  const struct {
+    const char* line;
+    const char* key;
+  } bad[] = {
+      {"PairingThreshold=nan", "PairingThreshold"},
+      {"PairingThreshold=inf", "PairingThreshold"},
+      {"PairingThreshold=-inf", "PairingThreshold"},
+      {"PairingThreshold=-0.1", "PairingThreshold"},
+      {"MaxDilation=nan", "MaxDilation"},
+      {"MaxDilation=inf", "MaxDilation"},
+      {"MaxDilation=-inf", "MaxDilation"},
+      {"MaxDilation=0.5", "MaxDilation"},
+      {"SwitchPenalty=nan", "SwitchPenalty"},
+      {"SwitchPenalty=inf", "SwitchPenalty"},
+      {"SwitchPenalty=-inf", "SwitchPenalty"},
+      {"SwitchPenalty=-0.01", "SwitchPenalty"},
+  };
+  for (const auto& c : bad) {
+    std::stringstream in(std::string(c.line) + "\n");
+    try {
+      (void)parse_config(in);
+      ADD_FAILURE() << c.line << " was accepted";
+    } catch (const Error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+      EXPECT_EQ(msg.find('\n'), std::string::npos) << msg;
+    }
+  }
+  // The boundaries themselves are valid.
+  std::stringstream edge("PairingThreshold=0\nMaxDilation=1\nSwitchPenalty=0\n");
+  const auto config = parse_config(edge);
+  EXPECT_DOUBLE_EQ(config.scheduler_options.co.pairing_threshold, 0.0);
+  EXPECT_DOUBLE_EQ(config.scheduler_options.co.max_dilation, 1.0);
+  EXPECT_DOUBLE_EQ(config.topology.penalty_per_extra_switch, 0.0);
+}
+
 TEST(Config, FormatParsesBack) {
   ControllerConfig config;
   config.nodes = 16;
