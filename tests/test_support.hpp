@@ -9,6 +9,8 @@
 
 #include "apps/catalog.hpp"
 #include "core/scheduler.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "workload/job.hpp"
 
 namespace cosched::testing {
@@ -62,7 +64,31 @@ class FakeHost : public core::SchedulerHost {
     machine_.allocate_primary(id, nodes, end);
   }
 
+  /// Adds a job already co-allocated onto the given nodes' secondary
+  /// slots.
+  void add_running_secondary(workload::Job job,
+                             const std::vector<NodeId>& nodes,
+                             SimTime started_at = 0) {
+    job.state = workload::JobState::kRunning;
+    job.start_time = started_at;
+    job.alloc_kind = cluster::AllocationKind::kSecondary;
+    job.alloc_nodes = nodes;
+    const JobId id = job.id;
+    const SimTime end = job.start_time + job.walltime_limit;
+    jobs_.emplace(id, std::move(job));
+    machine_.allocate_secondary(id, nodes, end);
+  }
+
+  /// Ends a running job: its slots free up (a primary's first secondary
+  /// is promoted, as on a real node).
+  void release(JobId id) {
+    machine_.release(id);
+    jobs_.at(id).state = workload::JobState::kCompleted;
+  }
+
   void set_now(SimTime t) { now_ = t; }
+  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  void set_registry(obs::Registry* registry) { registry_ = registry; }
 
   /// Jobs started by the scheduler during the test, in order, with the
   /// allocation kind used.
@@ -88,6 +114,8 @@ class FakeHost : public core::SchedulerHost {
     return catalog_.get(jobs_.at(id).app);
   }
   const interference::CorunModel& corun() const override { return corun_; }
+  obs::Tracer* tracer() const override { return tracer_; }
+  obs::Registry* registry() const override { return registry_; }
   SimTime walltime_end(JobId running) const override {
     const auto& j = jobs_.at(running);
     return j.start_time + j.walltime_limit;
@@ -121,6 +149,8 @@ class FakeHost : public core::SchedulerHost {
   std::unordered_map<JobId, workload::Job> jobs_;
   std::vector<JobId> pending_;
   std::vector<Start> starts_;
+  obs::Tracer* tracer_ = nullptr;
+  obs::Registry* registry_ = nullptr;
   SimTime now_ = 0;
 };
 
