@@ -26,12 +26,12 @@
 // reference slots by index. Oversized callables fall back to one heap
 // allocation but still flow through a pooled slot. Cancellation is O(1):
 // a dense id -> slot table marks dead events, whose tombstoned queue
-// entries are discarded when popped — and, so that reschedule-heavy
-// workloads (a completion prediction that jitters every pass) don't pile
-// dead entries into far-future buckets until sim time reaches them, the
-// queues are purged whenever tombstones outnumber live events. The purge
-// only deletes entries already dead and re-heaps; the pop sequence of live
-// events is untouched (heaps pop by full key regardless of internal array
+// entries are discarded when popped — and, so that cancel-heavy workloads
+// (every job that completes cancels its walltime kill, typically hours in
+// the future) don't pile dead entries into far-future buckets until sim
+// time reaches them, the queues are purged whenever tombstones outnumber
+// live events. The purge only deletes entries already dead and re-heaps;
+// the pop sequence of live events is untouched (heaps pop by full key regardless of internal array
 // layout), so it is invisible to every decision. The table is *windowed*: ids die
 // roughly in issue order (an event either fires or is cancelled within its
 // scheduling horizon), so a monotone dead prefix is compacted away and the

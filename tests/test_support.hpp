@@ -11,6 +11,7 @@
 #include "core/scheduler.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "slurmlite/execution.hpp"
 #include "workload/job.hpp"
 
 namespace cosched::testing {
@@ -28,6 +29,22 @@ inline workload::Job make_job(JobId id, int nodes, SimDuration runtime,
   job.walltime_limit = walltime;
   job.shareable = true;
   return job;
+}
+
+/// Full-scan rate refresh for execution-model tests: settles every running
+/// job at `now` by naming every node dirty (the controller passes only the
+/// machine's dirty list), then drains the machine's dirty list. Returns
+/// the jobs whose predicted end moved.
+inline std::vector<JobId> refresh_all(slurmlite::ExecutionModel& exec,
+                                      cluster::Machine& machine,
+                                      SimTime now) {
+  std::vector<NodeId> all(static_cast<std::size_t>(machine.node_count()));
+  for (std::size_t n = 0; n < all.size(); ++n) {
+    all[n] = static_cast<NodeId>(n);
+  }
+  const std::span<const JobId> moved = exec.refresh_rates(all, now);
+  machine.clear_dirty_nodes();
+  return {moved.begin(), moved.end()};
 }
 
 /// A SchedulerHost over an in-memory machine and job table. Start actions
