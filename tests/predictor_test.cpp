@@ -121,6 +121,28 @@ TEST(Checkpoint, RestoreShortensRerun) {
   EXPECT_LT(warm.end_time - warm.start_time, 15 * kMinute);
 }
 
+TEST(Checkpoint, SecondFailureKeepsEarlierCheckpoint) {
+  sim::Engine engine;
+  slurmlite::ControllerConfig config;
+  config.nodes = 4;
+  config.checkpoint_interval = 10 * kMinute;
+  // The first outage hits at the 50 min checkpoint; the second hits the
+  // resumed attempt 5 min in, before it reaches a checkpoint of its own.
+  config.failures = {
+      {.node = 0, .at = 50 * kMinute, .duration = 10 * kMinute},
+      {.node = 1, .at = 65 * kMinute, .duration = 10 * kMinute}};
+  slurmlite::Controller controller(engine, config, trinity());
+  controller.submit(make_job(1, 4, kHour, 3 * kHour, 0));
+  engine.run();
+  const auto r = controller.job_records()[0];
+  EXPECT_EQ(r.state, workload::JobState::kCompleted);
+  EXPECT_EQ(r.requeues, 2);
+  // The last attempt starts when node 1 returns at 75 min and still owns
+  // the 50 min checkpoint: it runs the remaining 10 min, not the full hour.
+  EXPECT_EQ(r.start_time, 75 * kMinute);
+  EXPECT_EQ(r.end_time, 85 * kMinute);
+}
+
 TEST(Checkpoint, ExactMultipleLosesNothing) {
   sim::Engine engine;
   slurmlite::ControllerConfig config;
