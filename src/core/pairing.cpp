@@ -25,20 +25,16 @@ CoAllocator::CoAllocator(CoAllocationOptions options) : options_(options) {
   COSCHED_CHECK(options_.min_samples >= 1);
 }
 
-const CoAllocator::NodeEntry& CoAllocator::node_entry(SchedulerHost& host,
-                                                      NodeId node) const {
-  const cluster::Machine& machine = host.machine();
-  NodeEntry& entry = nodes_[static_cast<std::size_t>(node)];
-  const std::uint64_t gen = machine.node_generation(node);
-  if (entry.gen == gen) return entry;
+CoAllocator::Row CoAllocator::file_row(SchedulerHost& host,
+                                       NodeId node) const {
   // Walk the residents in slot order, as the gate always has: consent and
   // the fence are checked resident by resident, so everything after the
   // first resident that refuses sharing is never looked at.
   Signature& sig = sig_scratch_;
   sig.apps.clear();
   sig.blocked = false;
-  entry.fence = kTimeInfinity;
-  for (JobId resident : machine.node(node).slot_jobs()) {
+  SimTime fence = kTimeInfinity;
+  for (JobId resident : host.machine().node(node).slot_jobs()) {
     if (resident == kInvalidJob) continue;
     const workload::Job& r = host.job(resident);
     const apps::AppModel& app = host.app_of(resident);
@@ -47,38 +43,52 @@ const CoAllocator::NodeEntry& CoAllocator::node_entry(SchedulerHost& host,
       break;
     }
     sig.apps.push_back(&app);
-    entry.fence = std::min(entry.fence, host.walltime_end(resident));
+    fence = std::min(fence, host.walltime_end(resident));
   }
   const auto it =
       std::find_if(sigs_.begin(), sigs_.end(), [&](const Signature& s) {
         return s.blocked == sig.blocked && s.apps == sig.apps;
       });
-  entry.sig = static_cast<int>(it - sigs_.begin());
+  const int id = static_cast<int>(it - sigs_.begin());
   if (it == sigs_.end()) sigs_.push_back(Signature{sig.apps, sig.blocked, {}});
-  entry.gen = gen;
-  return entry;
+  return Row{id, fence, node};
 }
 
 void CoAllocator::refresh_table(SchedulerHost& host) const {
   const cluster::Machine& machine = host.machine();
-  if (table_machine_ == machine.instance_id() &&
-      table_gen_ == machine.generation()) {
+  if (table_machine_ != machine.instance_id()) {
+    // First call, or the host switched machines (test fixtures reuse one
+    // allocator across scenarios): no row, signature or verdict carries
+    // over, and at generation 0 every node counts as changed.
+    table_machine_ = machine.instance_id();
+    table_gen_ = 0;
+    rows_.clear();
+    sigs_.clear();
+  } else if (table_gen_ == machine.generation()) {
     return;
   }
-  if (table_machine_ != machine.instance_id()) {
-    // The host switched machines (test fixtures reuse one allocator
-    // across scenarios): drop every node entry, signature and verdict.
-    nodes_.clear();
-    sigs_.clear();
-    table_machine_ = machine.instance_id();
-  }
-  nodes_.resize(static_cast<std::size_t>(machine.node_count()));
-  rows_.clear();
+  // Node stamps are global and monotone, so the nodes stamped above
+  // table_gen_ are exactly those that changed since the last refresh.
+  // Their rows go; the ones still free-secondary are filed afresh, in
+  // ascending node order so signatures intern in a fixed order.
+  const auto changed = [&](NodeId n) {
+    return machine.node_generation(n) > table_gen_;
+  };
+  std::erase_if(rows_, [&](const Row& r) { return changed(r.node); });
+  const std::size_t kept = rows_.size();
   for (NodeId n : machine.free_secondary_nodes()) {
-    const NodeEntry& entry = node_entry(host, n);
-    rows_.push_back(Row{entry.sig, entry.fence, n});
+    if (changed(n)) rows_.push_back(file_row(host, n));
   }
-  std::sort(rows_.begin(), rows_.end());
+  const auto filed = rows_.begin() + static_cast<std::ptrdiff_t>(kept);
+  std::sort(filed, rows_.end());
+  // Into a reused buffer: std::inplace_merge allocates one per call.
+  merged_.resize(rows_.size());
+  std::merge(rows_.begin(), filed, filed, rows_.end(), merged_.begin());
+  rows_.swap(merged_);
+  if (obs::Registry* registry = host.registry()) {
+    registry->counter("co_table_rows_filed").inc(rows_.size() - kept);
+    registry->counter("co_table_rows_kept").inc(kept);
+  }
   groups_.clear();
   for (std::size_t begin = 0; begin < rows_.size();) {
     std::size_t end = begin + 1;

@@ -20,7 +20,8 @@
 // group yields exactly the scanned/admissible counts and per-reason
 // tallies of a node-by-node scan, and every co_decision trace record
 // keeps its bytes (tests/co_scan_fuzz_test.cpp checks this against that
-// scan). The table is rebuilt only when the machine changes.
+// scan). When the machine changes, only the nodes stamped since the last
+// refresh are filed again and merged into the rows that were kept.
 #pragma once
 
 #include <compare>
@@ -77,19 +78,11 @@ class CoAllocator {
     std::vector<std::optional<Verdict>> verdicts;
   };
 
-  /// One node's signature and fence end, stamped with the node's
-  /// generation at fill time; a stale stamp triggers a refill from the
-  /// host, so a node is resolved once per change, not once per candidate.
-  struct NodeEntry {
-    std::uint64_t gen = 0;  ///< 0 = never filled (live nodes stamp > 0)
-    int sig = 0;
-    SimTime fence = kTimeInfinity;  ///< F; infinite for an empty prefix
-  };
-
-  /// One free-secondary node in the table, ordered by group, then F.
+  /// One free-secondary node in the table, ordered by group, then F. A
+  /// row stays valid until its node's generation stamp moves.
   struct Row {
     int sig;
-    SimTime fence;
+    SimTime fence;  ///< F; infinite for an empty prefix
     NodeId node;
     auto operator<=>(const Row&) const = default;
   };
@@ -109,12 +102,12 @@ class CoAllocator {
     double score;
   };
 
-  /// Rebuilds rows_/groups_ from the free-secondary index unless the
-  /// machine (instance and generation) is the one they were built from.
+  /// Brings rows_/groups_ up to the machine by re-filing the nodes stamped
+  /// since the last refresh (every node on a new machine instance).
   void refresh_table(SchedulerHost& host) const;
 
-  /// The node's entry, refilled from the host if the node changed.
-  const NodeEntry& node_entry(SchedulerHost& host, NodeId node) const;
+  /// The node's row, read from the host; interns its signature.
+  Row file_row(SchedulerHost& host, NodeId node) const;
 
   /// The verdict for signature `sig` and the candidate's app: memoized
   /// for the oracle and class-rule gates, worked out afresh in learned
@@ -137,9 +130,8 @@ class CoAllocator {
   /// Distinct machines can share generation histories, so generation
   /// stamps alone cannot tell that the host switched machines.
   mutable std::uint64_t table_machine_ = 0;
-  /// Machine::generation() rows_/groups_ were built at.
+  /// Machine::generation() rows_/groups_ describe; 0 = no rows yet.
   mutable std::uint64_t table_gen_ = 0;
-  mutable std::vector<NodeEntry> nodes_;  ///< indexed by NodeId
   /// Interned signatures, indexed by id. Few exist (one per resident app
   /// mix), so interning is a linear search.
   mutable std::vector<Signature> sigs_;
@@ -147,6 +139,7 @@ class CoAllocator {
   mutable std::vector<Group> groups_;
   // Per-call scratch.
   mutable Signature sig_scratch_;
+  mutable std::vector<Row> merged_;  ///< refresh_table's merge target
   mutable std::vector<Admitted> admitted_;
   mutable std::vector<std::pair<double, NodeId>> ranked_;  ///< (-score, node)
   /// Bump storage for multi-resident stress staging.

@@ -5,8 +5,9 @@
 // share, in any slot — whose walltime ends tie often and are sometimes
 // infinite. Each machine then runs a pass-like script: several candidates
 // per machine state, secondary and primary starts and releases between
-// them (so the table rebuilds mid-pass), clock moves, and, in learned
-// mode, a pair estimator that learns between calls. Every call must
+// them (so the table refreshes mid-pass), walltime moves on residents,
+// idle nodes going down and up, clock moves, and, in learned mode, a pair
+// estimator that learns between calls. Every call must
 // choose the same nodes and emit the same co_decision bytes as the
 // reference. One CoAllocator per configuration serves every machine, so
 // switching machines is exercised too.
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/catalog.hpp"
@@ -54,6 +56,8 @@ struct Coverage {
   int fence_ties = 0;  ///< candidate walltime end == a resident's end
   int infinite_fences = 0;
   int mid_pass_starts = 0;
+  int walltime_moves = 0;
+  int node_toggles = 0;
   std::string reasons;  ///< every co_decision line, concatenated
 };
 
@@ -199,6 +203,22 @@ class Fuzzer {
       host.release(done);
       std::erase(running_, done);
     }
+    if (rng_.next_below(6) == 0 && !running_.empty()) {
+      // F moves while membership and signature stay: the node's row must
+      // be re-keyed, not kept.
+      host.set_walltime_end(pick_running(), pick_end(host));
+      ++cov.walltime_moves;
+    }
+    if (rng_.next_below(6) == 0) {
+      // Stamps move on a node that has no row to file, down or back up.
+      const auto n = static_cast<NodeId>(rng_.next_below(
+          static_cast<std::uint32_t>(host.machine().node_count())));
+      const cluster::Node& node = host.machine().node(n);
+      if (node.is_down() || node.job_count() == 0) {
+        host.set_node_down(n, !node.is_down());
+        ++cov.node_toggles;
+      }
+    }
     if (rng_.next_below(5) == 0) {
       host.set_now(host.now() + rng_.uniform_int(1, 3) * 30 * kMinute);
     }
@@ -271,6 +291,8 @@ TEST_P(CoScanFuzz, GateTableMatchesNodeByNodeScan) {
   EXPECT_GT(cov.fence_ties, 100);
   EXPECT_GT(cov.infinite_fences, 10);
   EXPECT_GT(cov.mid_pass_starts, 500);
+  EXPECT_GT(cov.walltime_moves, 300);
+  EXPECT_GT(cov.node_toggles, 100);
   for (const char* reason :
        {"\"resident_not_shareable\":", "\"walltime_fence\":",
         "\"candidate_not_shareable\"", "\"insufficient_nodes\""}) {
@@ -294,7 +316,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// The table is only rebuilt when the machine moves, and oracle/class-rule
+// The table is only refreshed when the machine moves, and oracle/class-rule
 // verdicts are memoized: asking about an unchanged machine again costs no
 // gate evaluation, while learned verdicts are worked out on every call.
 TEST(CoScanCost, GateEvaluationsFollowTheMemoRule) {
@@ -490,6 +512,37 @@ TEST(CoScanTable, StartsAndReleasesRebuildTheTable) {
                        "\"rejects\":{}"));
 }
 
+// A refresh files only the nodes stamped since the last one and keeps
+// every other row: the first call files every free-secondary node, an
+// unchanged machine files nothing, and a start or release on one node
+// files that node alone.
+TEST(CoScanTable, RefreshFilesOnlyTheChangedNodes) {
+  FuzzHost host(4, 3);
+  obs::Registry registry;
+  host.set_registry(&registry);
+  for (NodeId n = 0; n < 4; ++n) {
+    host.add_running_primary(resident(n + 1, "GTC", 2 * kHour), {n});
+  }
+  const core::CoAllocator co{core::CoAllocationOptions{}};
+  const auto counts = [&] {
+    return std::pair{registry.counter("co_table_rows_filed").value(),
+                     registry.counter("co_table_rows_kept").value()};
+  };
+  const JobId cand = queue_candidate(host, 10, kHour);
+  ASSERT_TRUE(co.select_nodes(host, cand, true).has_value());
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{4}, std::uint64_t{0}));
+  ASSERT_TRUE(co.select_nodes(host, cand, true).has_value());
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{4}, std::uint64_t{0}));
+  // Node 2 keeps one free secondary slot, under a new signature.
+  host.start_secondary(cand, {2});
+  const JobId next = queue_candidate(host, 11, kHour);
+  (void)co.select_nodes(host, next, true);
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{5}, std::uint64_t{3}));
+  host.release(cand);
+  (void)co.select_nodes(host, next, true);
+  EXPECT_EQ(counts(), std::pair(std::uint64_t{6}, std::uint64_t{6}));
+}
+
 // One allocator asked about a second machine with the same allocation
 // history (so the same node generations) must not answer from the first
 // machine's table.
@@ -513,7 +566,7 @@ TEST(CoScanTable, SwitchingMachinesDropsTheTable) {
 }
 
 // Oracle and class-rule verdicts are memoized per signature, and the memo
-// outlives table rebuilds on the same machine: a new node with a known
+// outlives table refreshes on the same machine: a new node with a known
 // signature costs no evaluation, a new signature costs one.
 TEST(CoScanTable, MemoizedVerdictsOutliveRebuilds) {
   for (const core::GateMode gate :

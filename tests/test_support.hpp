@@ -103,6 +103,19 @@ class FakeHost : public core::SchedulerHost {
     jobs_.at(id).state = workload::JobState::kCompleted;
   }
 
+  /// Moves a running job's walltime end, as a walltime extension does:
+  /// on the job this host reports and in the machine's free-time index.
+  void set_walltime_end(JobId id, SimTime end) {
+    workload::Job& j = jobs_.at(id);
+    j.walltime_limit = end - j.start_time;
+    machine_.set_walltime_end(id, end);
+  }
+
+  /// Takes an empty node out of service or puts it back.
+  void set_node_down(NodeId id, bool down) {
+    machine_.set_node_down(id, down);
+  }
+
   void set_now(SimTime t) { now_ = t; }
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
   void set_registry(obs::Registry* registry) { registry_ = registry; }
