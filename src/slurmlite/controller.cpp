@@ -67,7 +67,8 @@ std::optional<SimTime> Controller::register_job(workload::Job job) {
   // submit_index_ covers every job ever registered, live or retired.
   COSCHED_REQUIRE(!submit_index_.count(job.id),
                   "duplicate job id " << job.id);
-  COSCHED_REQUIRE(job.nodes > 0, "job " << job.id << " requests 0 nodes");
+  COSCHED_REQUIRE(job.nodes > 0,
+                  "job " << job.id << " requests " << job.nodes << " nodes");
   COSCHED_REQUIRE(job.walltime_limit > 0,
                   "job " << job.id << " has no walltime limit");
   COSCHED_REQUIRE(job.base_runtime > 0,

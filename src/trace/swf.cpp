@@ -1,6 +1,7 @@
 #include "trace/swf.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -91,25 +92,50 @@ void write_swf_file(const std::string& path,
   write_swf(out, records, header_note);
 }
 
+namespace {
+
+/// SWF time field `field` of record `r` (whole seconds) as a SimTime.
+SimTime swf_seconds(const SwfRecord& r, const char* field,
+                    std::int64_t seconds) {
+  COSCHED_REQUIRE(seconds <= kMaxSwfSeconds,
+                  "SWF job " << r.job_number << " " << field << " "
+                             << seconds << " s exceeds the limit of "
+                             << kMaxSwfSeconds << " s");
+  return seconds * kSecond;
+}
+
+}  // namespace
+
 workload::Job job_from_swf(const SwfRecord& r, int app_count) {
   COSCHED_REQUIRE(r.job_number >= 0,
                   "SWF record with negative job number " << r.job_number);
   workload::Job job;
   job.id = r.job_number;
   job.user = "uid" + std::to_string(r.user_id >= 0 ? r.user_id : 0);
-  const std::int64_t procs =
-      r.procs_requested > 0 ? r.procs_requested : r.procs_used;
+  const bool requested = r.procs_requested > 0;
+  const std::int64_t procs = requested ? r.procs_requested : r.procs_used;
   COSCHED_REQUIRE(procs > 0, "SWF job " << r.job_number
                                         << " has no processor count");
+  COSCHED_REQUIRE(procs <= std::numeric_limits<int>::max(),
+                  "SWF job " << r.job_number << " "
+                             << (requested ? "requested" : "used")
+                             << " processors " << procs
+                             << " exceeds the limit of "
+                             << std::numeric_limits<int>::max());
   job.nodes = static_cast<int>(procs);
-  job.submit_time = (r.submit_time > 0 ? r.submit_time : 0) * kSecond;
+  job.submit_time = r.submit_time > 0
+                        ? swf_seconds(r, "submit time", r.submit_time)
+                        : 0;
   COSCHED_REQUIRE(r.run_time > 0 || r.time_requested > 0,
                   "SWF job " << r.job_number
                              << " has neither runtime nor request");
-  job.base_runtime =
-      (r.run_time > 0 ? r.run_time : r.time_requested) * kSecond;
+  job.base_runtime = r.run_time > 0
+                         ? swf_seconds(r, "run time", r.run_time)
+                         : swf_seconds(r, "requested time", r.time_requested);
   job.walltime_limit =
-      (r.time_requested > 0 ? r.time_requested : r.run_time) * kSecond;
+      r.time_requested > 0
+          ? swf_seconds(r, "requested time", r.time_requested)
+          : job.base_runtime;
   if (job.walltime_limit < job.base_runtime) {
     // Some archive traces record runtime past the request (grace kills);
     // clamp so replays are feasible.

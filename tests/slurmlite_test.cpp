@@ -212,6 +212,18 @@ TEST(Controller, RejectsMalformedSubmissions) {
   EXPECT_THROW(controller.submit(make_job(2, 1, kMinute, kHour, 0)), Error);
 }
 
+TEST(Controller, NodeCountErrorNamesTheRequest) {
+  sim::Engine engine;
+  Controller controller(engine, small_config(core::StrategyKind::kFcfs),
+                        trinity());
+  try {
+    controller.submit(make_job(3, -2, kMinute, kHour, 0));
+    ADD_FAILURE() << "a job of -2 nodes was accepted";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "job 3 requests -2 nodes");
+  }
+}
+
 TEST(Controller, QueuedJobsRunInOrderUnderFcfs) {
   sim::Engine engine;
   Controller controller(engine, small_config(core::StrategyKind::kFcfs),

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "trace/gantt.hpp"
 #include "trace/swf.hpp"
@@ -237,6 +239,95 @@ TEST(Swf, JobsFromSwfRejectsUnusable) {
   SwfRecord r;
   r.job_number = 1;  // no procs at all
   EXPECT_THROW(jobs_from_swf({r}, 0), Error);
+}
+
+/// One SWF data line for `job`: the named fields as given, every other
+/// field -1.
+std::string swf_line(JobId job, std::int64_t submit, std::int64_t run,
+                     std::int64_t procs_used, std::int64_t procs_requested,
+                     std::int64_t time_requested) {
+  std::ostringstream line;
+  line << job << ' ' << submit << " -1 " << run << ' ' << procs_used
+       << " -1 -1 " << procs_requested << ' ' << time_requested
+       << " -1 1 -1 -1 -1 -1 -1 -1 -1\n";
+  return line.str();
+}
+
+/// Materialized and streaming replay must both reject `line` with
+/// `message`.
+void expect_rejected(const std::string& line, const std::string& message) {
+  std::stringstream batch_in(line);
+  try {
+    (void)jobs_from_swf(read_swf(batch_in), 0);
+    ADD_FAILURE() << "materialized replay accepted " << line;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+  std::stringstream stream_in(line);
+  SwfJobSource source(stream_in, 0);
+  try {
+    (void)source.next();
+    ADD_FAILURE() << "streaming replay accepted " << line;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+}
+
+TEST(Swf, RejectsRequestedProcessorsBeyondInt) {
+  // 2^32 + 2 used to narrow to a 2-node job, 2^31 to a negative one.
+  expect_rejected(swf_line(2, 0, 100, -1, 4294967298, 200),
+                  "SWF job 2 requested processors 4294967298 exceeds the "
+                  "limit of 2147483647");
+  expect_rejected(swf_line(2, 0, 100, 4, 2147483648, 200),
+                  "SWF job 2 requested processors 2147483648 exceeds the "
+                  "limit of 2147483647");
+}
+
+TEST(Swf, RejectsUsedProcessorsBeyondInt) {
+  expect_rejected(swf_line(3, 0, 100, 2147483648, -1, 200),
+                  "SWF job 3 used processors 2147483648 exceeds the limit "
+                  "of 2147483647");
+}
+
+TEST(Swf, RejectsSubmitTimeBeyondLimit) {
+  expect_rejected(swf_line(4, 10000000000000, 100, -1, 4, 200),
+                  "SWF job 4 submit time 10000000000000 s exceeds the "
+                  "limit of " + std::to_string(kMaxSwfSeconds) + " s");
+}
+
+TEST(Swf, RejectsRunTimeBeyondLimit) {
+  expect_rejected(swf_line(5, 0, 10000000000000, -1, 4, 200),
+                  "SWF job 5 run time 10000000000000 s exceeds the limit "
+                  "of " + std::to_string(kMaxSwfSeconds) + " s");
+}
+
+TEST(Swf, RejectsRequestedTimeBeyondLimit) {
+  const std::string message =
+      "SWF job 6 requested time 10000000000000 s exceeds the limit of " +
+      std::to_string(kMaxSwfSeconds) + " s";
+  expect_rejected(swf_line(6, 0, 100, -1, 4, 10000000000000), message);
+  // Without a run time the request is the runtime too.
+  expect_rejected(swf_line(6, 0, -1, -1, 4, 10000000000000), message);
+}
+
+TEST(Swf, AcceptsFieldsAtTheirLimits) {
+  const std::string line =
+      swf_line(7, kMaxSwfSeconds, kMaxSwfSeconds, -1,
+               std::numeric_limits<int>::max(), kMaxSwfSeconds);
+  std::stringstream batch_in(line);
+  const auto batch = jobs_from_swf(read_swf(batch_in), 0);
+  std::stringstream stream_in(line);
+  SwfJobSource source(stream_in, 0);
+  const auto streamed = source.next();
+  ASSERT_EQ(batch.size(), 1u);
+  ASSERT_TRUE(streamed.has_value());
+  for (const workload::Job& job : {batch[0], *streamed}) {
+    EXPECT_EQ(job.nodes, std::numeric_limits<int>::max());
+    EXPECT_EQ(job.submit_time, kMaxSwfSeconds * kSecond);
+    EXPECT_EQ(job.base_runtime, kMaxSwfSeconds * kSecond);
+    EXPECT_EQ(job.walltime_limit, kMaxSwfSeconds * kSecond);
+    EXPECT_GT(job.submit_time + job.walltime_limit, job.submit_time);
+  }
 }
 
 TEST(Swf, JobsToSwfEncodesStates) {
