@@ -65,17 +65,12 @@ const std::vector<JobId>& EasyBackfillScheduler::easy_pass(
           ? std::min(remaining,
                      static_cast<std::size_t>(backfill_depth_) + 1)
           : remaining;
-  for (std::size_t i = 1; i < remaining; ++i) {
+  const cluster::Machine& machine = host.machine();
+  std::size_t i = 1;
+  for (; i < limit && machine.free_node_count() > 0; ++i) {
     const JobId id = queue_[head_idx + i];
-    if (i >= limit) {  // beyond the test budget: leave queued untouched
-      if (tracer != nullptr) {
-        tracer->backfill_reject(id, obs::ReasonCode::kBeyondDepth);
-      }
-      leftover_.push_back(id);
-      continue;
-    }
     const workload::Job& job = host.job(id);
-    if (host.machine().free_node_count() < job.nodes) {
+    if (machine.free_node_count() < job.nodes) {
       if (tracer != nullptr) {
         tracer->backfill_reject(id, obs::ReasonCode::kCapacity);
       }
@@ -103,6 +98,20 @@ const std::vector<JobId>& EasyBackfillScheduler::easy_pass(
       leftover_.push_back(id);
     }
   }
+  // The rest stays queued untouched: it lies beyond the test budget, or
+  // the machine is full. Mid-pass only starts change the machine and
+  // starts only take nodes, so on a full machine every job left would be
+  // rejected for capacity.
+  if (tracer != nullptr) {
+    for (std::size_t j = i; j < remaining; ++j) {
+      tracer->backfill_reject(queue_[head_idx + j],
+                              j < limit ? obs::ReasonCode::kCapacity
+                                        : obs::ReasonCode::kBeyondDepth);
+    }
+  }
+  leftover_.insert(leftover_.end(),
+                   queue_.begin() + static_cast<std::ptrdiff_t>(head_idx + i),
+                   queue_.end());
   return leftover_;
 }
 

@@ -19,6 +19,7 @@ Controller::Controller(sim::Engine& engine, const ControllerConfig& config,
       execution_(machine_, catalog_, corun_),
       scheduler_(core::make_scheduler(config.strategy,
                                       config.scheduler_options)),
+      places_secondaries_(core::is_co_strategy(config.strategy)),
       retire_(config.retire_finished),
       estimator_(catalog.size()),
       checkpoint_interval_(config.checkpoint_interval),
@@ -418,13 +419,14 @@ bool Controller::pass_can_early_exit() const {
   if (tracer_ != nullptr || registry_ != nullptr || spans_ != nullptr) {
     return false;
   }
-  // Saturated machine: no free primary slot and no free secondary slot
-  // means no strategy can start anything (every start path goes through
-  // find_free_nodes / the free-secondary scan). Sound under any queue
-  // policy: order_queue sorts on a complete (priority, id) key, so
-  // skipping intermediate re-sorts cannot change a later pass's order.
+  // Saturated machine: with no free primary slot, a primary-only strategy
+  // can start nothing (every primary start goes through find_free_nodes);
+  // a co strategy also needs no free secondary slot (its other start path
+  // is the free-secondary scan). Sound under any queue policy:
+  // order_queue sorts on a complete (priority, id) key, so skipping
+  // intermediate re-sorts cannot change a later pass's order.
   if (machine_.free_node_count() == 0 &&
-      machine_.free_secondary_nodes().empty()) {
+      (!places_secondaries_ || machine_.free_secondary_nodes().empty())) {
     return true;
   }
   // Generation exit: the last pass started nothing, and neither the

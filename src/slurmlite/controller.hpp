@@ -268,6 +268,8 @@ class Controller final : public core::SchedulerHost,
   cluster::Machine machine_;
   ExecutionModel execution_;
   std::unique_ptr<core::Scheduler> scheduler_;
+  /// The strategy may start jobs on secondary slots (a co strategy).
+  const bool places_secondaries_;
 
   std::unordered_map<JobId, workload::Job> jobs_;
   /// Not grown in retire mode (job_records is unavailable there anyway);
