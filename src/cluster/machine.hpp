@@ -132,7 +132,8 @@ class Machine {
 
   // --- Free-time index ------------------------------------------------------
   // All queries take `now` so cached walltime ends in the past clamp to the
-  // present, exactly like the from-scratch node_free_times() recompute.
+  // present, exactly like the from-scratch node_free_times() recompute in
+  // tests/shadow_reference.hpp.
 
   /// When node `id`'s primary slot is guaranteed free: `now` if idle,
   /// max(now, latest resident walltime end) if busy, kTimeInfinity if down.

@@ -1,8 +1,5 @@
 #include "core/strategy_common.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "util/check.hpp"
 
 namespace cosched::core {
@@ -16,69 +13,14 @@ bool try_start_primary(SchedulerHost& host, JobId id) {
   return true;
 }
 
-std::vector<SimTime> node_free_times(SchedulerHost& host) {
-  const cluster::Machine& machine = host.machine();
-  std::vector<SimTime> out(static_cast<std::size_t>(machine.node_count()),
-                           kTimeInfinity);
-  // A k-node job is resident on k nodes; memoize its walltime end so each
-  // running job costs one host lookup per pass instead of one per node.
-  std::unordered_map<JobId, SimTime> walltime_ends;
-  for (NodeId n = 0; n < machine.node_count(); ++n) {
-    const cluster::Node& node = machine.node(n);
-    if (node.is_down()) continue;
-    if (node.primary_free()) {
-      out[static_cast<std::size_t>(n)] = host.now();
-      continue;
-    }
-    SimTime latest = host.now();
-    for (JobId resident : node.slot_jobs()) {
-      if (resident == kInvalidJob) continue;
-      auto [it, fresh] = walltime_ends.try_emplace(resident);
-      if (fresh) it->second = host.walltime_end(resident);
-      latest = std::max(latest, it->second);
-    }
-    out[static_cast<std::size_t>(n)] = latest;
-  }
-  return out;
-}
-
-ShadowInfo compute_shadow_reference(SchedulerHost& host, int head_nodes) {
-  COSCHED_CHECK(head_nodes > 0);
-  std::vector<SimTime> free_times = node_free_times(host);
-  ShadowInfo info;
-  if (head_nodes > static_cast<int>(free_times.size())) {
-    info.shadow_time = kTimeInfinity;
-    info.extra_nodes = 0;
-    return info;
-  }
-  // Only the k-th smallest free time matters, not the full order:
-  // nth_element is the interim fix this reference path retired onto after
-  // the maintained order-statistics view took over the production query.
-  const auto kth =
-      free_times.begin() + static_cast<std::ptrdiff_t>(head_nodes - 1);
-  std::nth_element(free_times.begin(), kth, free_times.end());
-  if (*kth == kTimeInfinity) {
-    // The head cannot run on the machine as it stands (e.g. nodes down).
-    // Don't block the rest of the queue: an unreachable reservation means
-    // every job may backfill until the machine changes.
-    info.shadow_time = kTimeInfinity;
-    info.extra_nodes = 0;
-    return info;
-  }
-  info.shadow_time = *kth;
-  int avail = 0;
-  for (SimTime t : free_times) avail += (t <= info.shadow_time) ? 1 : 0;
-  info.extra_nodes = avail - head_nodes;
-  return info;
-}
-
 ShadowInfo compute_shadow(SchedulerHost& host, int head_nodes) {
   COSCHED_CHECK(head_nodes > 0);
   // Served from the machine's maintained order statistics: free nodes
   // contribute now(), busy nodes their clamped cached walltime end, down
-  // nodes infinity — the same multiset node_free_times() rebuilds, without
+  // nodes infinity — the same multiset a per-node walk rebuilds, without
   // touching every node. tests/incremental_test.cpp fuzzes the agreement
-  // with compute_shadow_reference across randomized machine histories.
+  // with the from-scratch oracle in tests/shadow_reference.hpp across
+  // randomized machine histories.
   const cluster::Machine& machine = host.machine();
   const SimTime now = host.now();
   ShadowInfo info;

@@ -97,10 +97,10 @@ namespace {
 /// SWF time field `field` of record `r` (whole seconds) as a SimTime.
 SimTime swf_seconds(const SwfRecord& r, const char* field,
                     std::int64_t seconds) {
-  COSCHED_REQUIRE(seconds <= kMaxSwfSeconds,
+  COSCHED_REQUIRE(seconds <= kMaxInputSeconds,
                   "SWF job " << r.job_number << " " << field << " "
                              << seconds << " s exceeds the limit of "
-                             << kMaxSwfSeconds << " s");
+                             << kMaxInputSeconds << " s");
   return seconds * kSecond;
 }
 

@@ -85,18 +85,13 @@ void write_swf_file(const std::string& path,
                     const std::vector<SwfRecord>& records,
                     const std::string& header_note = "");
 
-/// The largest SWF time field accepted, in seconds: a quarter of the
-/// SimTime range, so a submit time plus a walltime limit stays
-/// representable in microseconds.
-inline constexpr std::int64_t kMaxSwfSeconds = kTimeInfinity / kSecond / 4;
-
 /// Converts one SWF record into a submission: submit time, size, walltime
 /// request, and (when present) actual runtime become the ground-truth
 /// runtime. `app_count` maps SWF app numbers onto catalog ids by modulo;
 /// pass 0 to leave apps unassigned (-1). Throws cosched::Error, naming the
 /// job and the field, on records that cannot describe a job: no processor
 /// count, no runtime, a processor count beyond int, or a time field
-/// beyond kMaxSwfSeconds.
+/// beyond kMaxInputSeconds.
 workload::Job job_from_swf(const SwfRecord& record, int app_count);
 
 /// Materializing wrapper over job_from_swf.

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <charconv>
+#include <cmath>
 
 #include "util/check.hpp"
 
@@ -58,7 +59,27 @@ double Flags::get_double(const std::string& name, double def) const {
   COSCHED_REQUIRE(end == v->c_str() + v->size() && !v->empty(),
                   "flag --" << name << " expects a number, got '" << *v
                             << "'");
+  COSCHED_REQUIRE(std::isfinite(out),
+                  "flag --" << name << " expects a finite number, got '"
+                            << *v << "'");
   return out;
+}
+
+double Flags::get_positive_double(const std::string& name,
+                                  double def) const {
+  if (!has(name)) return def;
+  const double out = get_double(name, def);
+  COSCHED_REQUIRE(out > 0, "flag --" << name << " must be positive, got "
+                                     << out);
+  return out;
+}
+
+SimDuration Flags::get_seconds(const std::string& name, double def) const {
+  const double s = get_double(name, def);
+  COSCHED_REQUIRE(s >= 0 && s <= static_cast<double>(kMaxInputSeconds),
+                  "flag --" << name << " must be between 0 and "
+                            << kMaxInputSeconds << " s, got " << s);
+  return from_seconds(s);
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/types.hpp"
+
 namespace cosched {
 
 class Flags {
@@ -20,7 +22,12 @@ class Flags {
   std::string get_string(const std::string& name,
                          const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Rejects NaN and infinities as well as malformed numbers.
   double get_double(const std::string& name, double def) const;
+  /// get_double that must be > 0 when the flag is given.
+  double get_positive_double(const std::string& name, double def) const;
+  /// A number of seconds in [0, kMaxInputSeconds], as a SimDuration.
+  SimDuration get_seconds(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;
 
   bool has(const std::string& name) const;

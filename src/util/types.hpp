@@ -33,6 +33,12 @@ inline constexpr SimDuration kMinute = 60 * kSecond;
 inline constexpr SimDuration kHour = 60 * kMinute;
 inline constexpr SimDuration kDay = 24 * kHour;
 
+/// The largest time accepted from an input, in seconds (an SWF time field,
+/// a generated arrival, a period flag): a quarter of the SimTime range, so
+/// a submit time plus a walltime limit stays representable in
+/// microseconds.
+inline constexpr std::int64_t kMaxInputSeconds = kTimeInfinity / kSecond / 4;
+
 /// Converts floating-point seconds to integer simulation time (rounds to
 /// nearest microsecond; negative inputs round symmetrically).
 constexpr SimTime from_seconds(double s) {

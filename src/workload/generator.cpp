@@ -38,8 +38,11 @@ Generator::Generator(GeneratorParams params, const apps::Catalog& catalog)
   // node-seconds of work per second, i.e. arrival rate =
   // rho * machine_nodes / E[job node-seconds].
   if (params_.arrival == ArrivalMode::kStream) {
-    COSCHED_REQUIRE(params_.offered_load > 0 && params_.machine_nodes > 0,
-                    "stream mode needs offered_load and machine_nodes > 0");
+    COSCHED_REQUIRE(params_.offered_load > 0 &&
+                        std::isfinite(params_.offered_load) &&
+                        params_.machine_nodes > 0,
+                    "stream mode needs a finite offered_load > 0 and "
+                    "machine_nodes > 0");
     arrival_rate_ = params_.offered_load *
                     static_cast<double>(params_.machine_nodes) /
                     mean_job_node_seconds();
@@ -102,6 +105,10 @@ Job Generator::generate_one(Pcg32& rng, int index, double& clock_s) const {
     } else {
       clock_s += rng.exponential(arrival_rate_);
     }
+    COSCHED_REQUIRE(clock_s <= static_cast<double>(kMaxInputSeconds),
+                    "generated job " << job.id << " arrives at " << clock_s
+                                     << " s, beyond the limit of "
+                                     << kMaxInputSeconds << " s");
     job.submit_time = from_seconds(clock_s);
   } else {
     // Campaign: all at t=0 with a tiny deterministic stagger so submit

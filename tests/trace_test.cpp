@@ -292,19 +292,19 @@ TEST(Swf, RejectsUsedProcessorsBeyondInt) {
 TEST(Swf, RejectsSubmitTimeBeyondLimit) {
   expect_rejected(swf_line(4, 10000000000000, 100, -1, 4, 200),
                   "SWF job 4 submit time 10000000000000 s exceeds the "
-                  "limit of " + std::to_string(kMaxSwfSeconds) + " s");
+                  "limit of " + std::to_string(kMaxInputSeconds) + " s");
 }
 
 TEST(Swf, RejectsRunTimeBeyondLimit) {
   expect_rejected(swf_line(5, 0, 10000000000000, -1, 4, 200),
                   "SWF job 5 run time 10000000000000 s exceeds the limit "
-                  "of " + std::to_string(kMaxSwfSeconds) + " s");
+                  "of " + std::to_string(kMaxInputSeconds) + " s");
 }
 
 TEST(Swf, RejectsRequestedTimeBeyondLimit) {
   const std::string message =
       "SWF job 6 requested time 10000000000000 s exceeds the limit of " +
-      std::to_string(kMaxSwfSeconds) + " s";
+      std::to_string(kMaxInputSeconds) + " s";
   expect_rejected(swf_line(6, 0, 100, -1, 4, 10000000000000), message);
   // Without a run time the request is the runtime too.
   expect_rejected(swf_line(6, 0, -1, -1, 4, 10000000000000), message);
@@ -312,8 +312,8 @@ TEST(Swf, RejectsRequestedTimeBeyondLimit) {
 
 TEST(Swf, AcceptsFieldsAtTheirLimits) {
   const std::string line =
-      swf_line(7, kMaxSwfSeconds, kMaxSwfSeconds, -1,
-               std::numeric_limits<int>::max(), kMaxSwfSeconds);
+      swf_line(7, kMaxInputSeconds, kMaxInputSeconds, -1,
+               std::numeric_limits<int>::max(), kMaxInputSeconds);
   std::stringstream batch_in(line);
   const auto batch = jobs_from_swf(read_swf(batch_in), 0);
   std::stringstream stream_in(line);
@@ -323,9 +323,9 @@ TEST(Swf, AcceptsFieldsAtTheirLimits) {
   ASSERT_TRUE(streamed.has_value());
   for (const workload::Job& job : {batch[0], *streamed}) {
     EXPECT_EQ(job.nodes, std::numeric_limits<int>::max());
-    EXPECT_EQ(job.submit_time, kMaxSwfSeconds * kSecond);
-    EXPECT_EQ(job.base_runtime, kMaxSwfSeconds * kSecond);
-    EXPECT_EQ(job.walltime_limit, kMaxSwfSeconds * kSecond);
+    EXPECT_EQ(job.submit_time, kMaxInputSeconds * kSecond);
+    EXPECT_EQ(job.base_runtime, kMaxInputSeconds * kSecond);
+    EXPECT_EQ(job.walltime_limit, kMaxInputSeconds * kSecond);
     EXPECT_GT(job.submit_time + job.walltime_limit, job.submit_time);
   }
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -345,6 +346,63 @@ TEST(Flags, RejectsMalformedValues) {
   EXPECT_THROW(flags.get_int("n", 0), Error);
   EXPECT_THROW(flags.get_double("x", 0), Error);
   EXPECT_THROW(flags.get_bool("b", false), Error);
+}
+
+/// The message of the cosched::Error `f` throws; "" when it throws none.
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Flags, RejectsNonFiniteNumbers) {
+  const char* argv[] = {"prog", "--a=nan", "--b=inf", "--c=-inf",
+                        "--d=1e999"};
+  Flags flags(5, argv);
+  EXPECT_EQ(error_of([&] { flags.get_double("a", 0); }),
+            "flag --a expects a finite number, got 'nan'");
+  EXPECT_EQ(error_of([&] { flags.get_double("b", 0); }),
+            "flag --b expects a finite number, got 'inf'");
+  EXPECT_EQ(error_of([&] { flags.get_double("c", 0); }),
+            "flag --c expects a finite number, got '-inf'");
+  EXPECT_EQ(error_of([&] { flags.get_double("d", 0); }),
+            "flag --d expects a finite number, got '1e999'");
+}
+
+TEST(Flags, PositiveDoubleRejectsZeroAndNegatives) {
+  const char* argv[] = {"prog", "--zero=0", "--neg", "-1", "--tiny=1e-12",
+                        "--nan=nan"};
+  Flags flags(6, argv);
+  EXPECT_EQ(error_of([&] { flags.get_positive_double("zero", 1); }),
+            "flag --zero must be positive, got 0");
+  EXPECT_EQ(error_of([&] { flags.get_positive_double("neg", 1); }),
+            "flag --neg must be positive, got -1");
+  EXPECT_EQ(error_of([&] { flags.get_positive_double("nan", 1); }),
+            "flag --nan expects a finite number, got 'nan'");
+  EXPECT_EQ(flags.get_positive_double("tiny", 1), 1e-12);
+  // Absent: the default, whatever it is (0 means "not given" to callers).
+  EXPECT_EQ(flags.get_positive_double("missing", 0), 0);
+}
+
+TEST(Flags, SecondsMustBeNonNegativeAndRepresentable) {
+  const char* argv[] = {"prog", "--neg=-5", "--inf=inf", "--huge=1e300",
+                        "--max=2305843009213", "--half=0.5"};
+  Flags flags(6, argv);
+  EXPECT_EQ(error_of([&] { flags.get_seconds("neg", 0); }),
+            "flag --neg must be between 0 and " +
+                std::to_string(kMaxInputSeconds) + " s, got -5");
+  EXPECT_EQ(error_of([&] { flags.get_seconds("inf", 0); }),
+            "flag --inf expects a finite number, got 'inf'");
+  EXPECT_EQ(error_of([&] { flags.get_seconds("huge", 0); }),
+            "flag --huge must be between 0 and " +
+                std::to_string(kMaxInputSeconds) + " s, got 1e+300");
+  EXPECT_NO_THROW(flags.get_seconds("max", 0));  // the limit itself
+  EXPECT_EQ(flags.get_seconds("half", 0), 500 * kMillisecond);
+  EXPECT_EQ(flags.get_seconds("missing", 0), 0);
 }
 
 TEST(Flags, TracksUnused) {

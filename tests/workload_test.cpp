@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <string>
 
 #include "workload/campaign.hpp"
 #include "workload/generator.hpp"
@@ -217,6 +219,41 @@ TEST(Generator, RejectsBadParams) {
   p = small_params();
   p.size_mix.clear();
   EXPECT_THROW(Generator(p, trinity()), Error);
+}
+
+TEST(Generator, RejectsNonFiniteOfferedLoad) {
+  GeneratorParams p = trinity_stream(32, 20, 1.0);
+  p.offered_load = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(Generator(p, trinity()), Error);
+  p.offered_load = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Generator(p, trinity()), Error);
+}
+
+TEST(Generator, StreamArrivalBeyondLimitNamesTheJob) {
+  // Load 1e-12 spaces arrivals ~1e15 s apart, far past what a SimTime can
+  // hold; the first job already fails, on both generation paths.
+  const Generator gen(trinity_stream(32, 20, 1e-12), trinity());
+  const std::string prefix = "generated job 1 arrives at ";
+  const std::string suffix = " s, beyond the limit of " +
+                             std::to_string(kMaxInputSeconds) + " s";
+  const auto expect_rejected = [&](auto&& run) {
+    try {
+      run();
+      ADD_FAILURE() << "no error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+      EXPECT_TRUE(what.ends_with(suffix)) << what;
+    }
+  };
+  expect_rejected([&] {
+    Pcg32 rng(3);
+    (void)gen.generate(rng);
+  });
+  expect_rejected([&] {
+    GeneratorJobSource source(gen, Pcg32(3));
+    (void)source.next();
+  });
 }
 
 TEST(Campaign, TrinityCapsSizesAtMachine) {

@@ -137,7 +137,7 @@ workload::GeneratorParams campaign_params(const Flags& flags, int nodes) {
     throw Error("unknown --campaign '" + campaign +
                 "' (want trinity|membound|compute)");
   }
-  const double rho = flags.get_double("stream-load", 0.0);
+  const double rho = flags.get_positive_double("stream-load", 0.0);
   if (rho > 0) {
     params.arrival = workload::ArrivalMode::kStream;
     params.offered_load = rho;
@@ -287,10 +287,7 @@ int cmd_sim(const Flags& flags) {
   if (!spans_path.empty()) spec.controller.spans = &spans;
   // --snapshot-every S: sample utilization/queue-depth gauges into the
   // trace and registry every S seconds of sim time.
-  if (const double every = flags.get_double("snapshot-every", 0.0);
-      every > 0) {
-    spec.controller.snapshot_period = from_seconds(every);
-  }
+  spec.controller.snapshot_period = flags.get_seconds("snapshot-every", 0.0);
   const obs::RunManifest manifest =
       manifest_from(flags, "sim", config, seed, stream);
   // The manifest is the first trace record (t_us = 0), stamped before the
@@ -367,10 +364,7 @@ int cmd_report(const Flags& flags) {
   spec.seed = seed;
   spec.controller.registry = &registry;
   spec.controller.spans = &spans;
-  if (const double every = flags.get_double("snapshot-every", 0.0);
-      every > 0) {
-    spec.controller.snapshot_period = from_seconds(every);
-  }
+  spec.controller.snapshot_period = flags.get_seconds("snapshot-every", 0.0);
   const obs::RunManifest manifest =
       manifest_from(flags, "report", config, seed, stream);
   const auto result = run_from_flags(flags, spec, catalog, seed, stream);
