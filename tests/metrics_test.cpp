@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "metrics/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace cosched::metrics {
 namespace {
@@ -133,6 +139,111 @@ TEST(BoundedSlowdown, UsesTenSecondBound) {
 TEST(BoundedSlowdown, NeverBelowOne) {
   const auto j = completed(1, 1, 0, 0, kSecond, {0});
   EXPECT_DOUBLE_EQ(bounded_slowdown(j), 1.0);
+}
+
+// --- Occupancy sweep oracle ---------------------------------------------------
+//
+// The per-node std::map sweep metrics::compute ran before it moved to one
+// flat event array, kept as the oracle for busy and shared node-seconds.
+// Both sort each node's events and sweep nodes in ascending order, so the
+// float sums must agree bit for bit, and with them every figure derived
+// from them.
+
+struct ReferenceOccupancy {
+  double busy_s = 0;
+  double shared_s = 0;
+};
+
+ReferenceOccupancy reference_occupancy(const workload::JobList& jobs) {
+  std::map<NodeId, std::vector<std::pair<SimTime, int>>> events;
+  for (const auto& job : jobs) {
+    if (job.start_time < 0 || job.end_time < 0) continue;
+    for (NodeId node : job.alloc_nodes) {
+      events[node].emplace_back(job.start_time, +1);
+      events[node].emplace_back(job.end_time, -1);
+    }
+  }
+  ReferenceOccupancy totals;
+  for (auto& [node, evs] : events) {
+    (void)node;
+    std::sort(evs.begin(), evs.end());
+    int depth = 0;
+    SimTime prev = 0;
+    for (const auto& [time, delta] : evs) {
+      if (depth >= 1) totals.busy_s += to_seconds(time - prev);
+      if (depth >= 2) totals.shared_s += to_seconds(time - prev);
+      depth += delta;
+      prev = time;
+    }
+  }
+  return totals;
+}
+
+/// A random finished-or-not job list on `nodes` nodes: jobs overlap on
+/// nodes (sharing depth up to 4), some time out, some never start, some
+/// run for zero time, and the highest node id always hosts a job.
+workload::JobList random_jobs(Pcg32& rng, int nodes) {
+  workload::JobList jobs;
+  const int count = static_cast<int>(rng.uniform_int(1, 40));
+  for (int i = 0; i < count; ++i) {
+    const int width = static_cast<int>(rng.uniform_int(1, nodes));
+    std::vector<NodeId> alloc;
+    const NodeId first =
+        static_cast<NodeId>(rng.uniform_int(0, nodes - width));
+    for (int k = 0; k < width; ++k) alloc.push_back(first + k);
+    if (i == 0) alloc = {static_cast<NodeId>(nodes - 1)};
+    const SimTime submit = rng.uniform_int(0, 1000) * kSecond;
+    const SimTime start = submit + rng.uniform_int(0, 500) * kSecond;
+    const SimDuration elapsed =
+        rng.uniform(0.0, 1.0) < 0.1
+            ? 0
+            : rng.uniform_int(1, 2000) * kMillisecond * 997;
+    workload::Job j =
+        completed(i + 1, static_cast<int>(alloc.size()), submit, start,
+                  elapsed, alloc, elapsed > 0 ? elapsed * 3 / 4 : 1);
+    const double kind = i == 0 ? 1.0 : rng.uniform(0.0, 1.0);
+    if (kind < 0.15) {
+      j.state = workload::JobState::kTimeout;
+    } else if (kind < 0.25) {
+      j.state = workload::JobState::kPending;
+      j.start_time = -1;
+      j.end_time = -1;
+      j.alloc_nodes.clear();
+    }
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
+TEST(OccupancyOracle, FlatSweepMatchesMapSweep) {
+  Pcg32 rng(0x0cc5u);
+  const EnergyParams energy;
+  int shared_trials = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int nodes = static_cast<int>(rng.uniform_int(1, 12));
+    const workload::JobList jobs = random_jobs(rng, nodes);
+    const ScheduleMetrics m = compute(jobs, nodes, energy);
+    if (m.jobs_completed + m.jobs_timeout == 0) continue;
+    const ReferenceOccupancy ref = reference_occupancy(jobs);
+    shared_trials += ref.shared_s > 0 ? 1 : 0;
+    const double machine_time = m.makespan_s * nodes;
+    EXPECT_EQ(m.busy_node_s, ref.busy_s) << "trial " << trial;
+    EXPECT_EQ(m.shared_node_s, ref.shared_s) << "trial " << trial;
+    EXPECT_EQ(m.scheduling_efficiency,
+              machine_time > 0 ? m.total_work_node_s / machine_time : 0)
+        << "trial " << trial;
+    EXPECT_EQ(m.computational_efficiency,
+              ref.busy_s > 0 ? m.total_work_node_s / ref.busy_s : 0)
+        << "trial " << trial;
+    EXPECT_EQ(m.utilization, machine_time > 0 ? ref.busy_s / machine_time : 0)
+        << "trial " << trial;
+    const double joules =
+        energy.idle_w * std::max(0.0, machine_time - ref.busy_s) +
+        energy.primary_w * (ref.busy_s - ref.shared_s) +
+        energy.shared_w * ref.shared_s;
+    EXPECT_EQ(m.energy_kwh, joules / 3.6e6) << "trial " << trial;
+  }
+  EXPECT_GT(shared_trials, 100) << "fixture rarely shares a node";
 }
 
 }  // namespace
