@@ -1,11 +1,10 @@
 // R-A11: node-width sweep — pass cost as a function of machine width at a
 // fixed trace length, exercising the width-sublinear hot path (hierarchical
-// free-capacity index, Fenwick busy-ends order statistics, per-pass
-// arenas; DESIGN.md "Node-width sublinear indexes"). Each cell runs the
-// production configuration (calendar queue, streaming ingestion,
-// finished-job retirement) once, with a private registry attached so the
-// table can show the index at work: summary blocks skipped per pass and
-// the arena high-water mark.
+// free-capacity index, Fenwick busy-ends order statistics, reused staging
+// buffers; DESIGN.md "Node-width sublinear indexes"). Each cell runs the
+// production configuration (streaming ingestion, finished-job retirement)
+// once, with a private registry attached so the table can show the index
+// at work: summary blocks skipped per pass.
 //
 // Peak RSS is process-cumulative, so this sweep reports time and registry
 // quantities only; for honest per-configuration RSS use
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   const int jobs = static_cast<int>(flags.get_int("jobs", 100000));
 
   Table t({"nodes", "jobs", "wall (s)", "sched (s)", "passes",
-           "blk skip/pass", "arena (KiB)", "events", "makespan (h)"});
+           "blk skip/pass", "events", "makespan (h)"});
   for (const int nodes : node_list) {
     slurmlite::SimulationSpec spec;
     spec.controller.nodes = nodes;
@@ -57,7 +56,6 @@ int main(int argc, char** argv) {
     spec.workload = workload::trinity_stream(nodes, jobs, load);
     spec.seed = env.base_seed;
     spec.audit = slurmlite::AuditMode::kOff;
-    spec.queue = sim::QueueKind::kCalendar;
     obs::Registry registry;
     spec.controller.registry = &registry;
 
@@ -81,21 +79,18 @@ int main(int argc, char** argv) {
              2)
         .add(static_cast<std::int64_t>(passes))
         .add(skipped / passes, 1)
-        .add(registry.gauge("arena_bytes_wall").value() / 1024.0, 1)
         .add(static_cast<std::int64_t>(result.events_executed))
         .add(result.metrics.makespan_s / 3600.0, 2);
   }
   bench::emit(t, env,
               "R-A11: node-width sweep (production fast path, " +
                   std::to_string(jobs) + " jobs/cell)",
-              "Each cell is one streamed, retiring simulation on the "
-              "calendar queue. 'blk skip/pass' counts the empty 4096-id "
-              "summary blocks the free-capacity scans jumped over per "
-              "scheduler pass (the hierarchical index at work); 'arena "
-              "(KiB)' is the high-water mark of the per-pass bump arenas. "
-              "Pass cost should grow far slower than node count; compare "
-              "against a COSCHED_FLAT_INDEX build to see the flat-scan "
-              "slope. RSS comparisons need bench_a8_scale --single.");
+              "Each cell is one streamed, retiring simulation. 'blk "
+              "skip/pass' counts the empty 4096-id summary blocks the "
+              "free-capacity scans jumped over per scheduler pass (the "
+              "hierarchical index at work). Pass cost should grow far "
+              "slower than node count. RSS comparisons need "
+              "bench_a8_scale --single.");
   bench::finish(env);
   return 0;
 }

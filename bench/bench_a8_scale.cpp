@@ -1,18 +1,17 @@
 // R-A8: scale fast path — end-to-end wall clock and peak memory across
-// machine sizes and trace lengths, comparing the pre-PR configuration
-// (binary-heap event queue + fully materialized job list) against the
-// fast path (calendar queue + streaming ingestion). Both configurations
-// make bit-identical scheduling decisions (EngineQueueParity and
-// StreamSubmissionMatchesBatch pin this), so every cell cross-checks
-// makespan and completion counts while timing.
+// machine sizes and trace lengths, comparing materialized ingestion (the
+// whole job list generated up front) against streaming ingestion, with
+// and without finished-job retirement. All three make the same
+// scheduling decisions (StreamSubmissionMatchesBatch pins this), so every
+// cell cross-checks makespan and completion counts while timing.
 //
 // Two modes:
-//   default sweep: --nodes-list x --jobs-list grid; each cell runs both
-//     configurations back to back and reports wall seconds + speedup.
+//   default sweep: --nodes-list x --jobs-list grid; each cell runs the
+//     three configurations back to back and reports wall seconds.
 //     getrusage peak RSS is process-cumulative, so the sweep reports
 //     time only.
-//   --single: runs exactly ONE configuration (--queue heap|calendar,
-//     --stream, --retire) and prints a JSON record with wall seconds,
+//   --single: runs exactly ONE configuration (--stream, --retire) and
+//     prints a JSON record with wall seconds,
 //     scheduler-pass seconds (--profile arms the sampler), peak RSS and
 //     CPU time. BENCH_pr5.json's headline cell runs one process per
 //     configuration so the RSS numbers are honest. --retire frees each
@@ -49,8 +48,7 @@ std::vector<int> parse_list(const std::string& csv) {
 
 slurmlite::SimulationSpec make_spec(int nodes, int jobs,
                                     core::StrategyKind strategy,
-                                    std::uint64_t seed, double load,
-                                    sim::QueueKind queue) {
+                                    std::uint64_t seed, double load) {
   slurmlite::SimulationSpec spec;
   spec.controller.nodes = nodes;
   spec.controller.strategy = strategy;
@@ -58,7 +56,6 @@ slurmlite::SimulationSpec make_spec(int nodes, int jobs,
   spec.seed = seed;
   // Timing run: never pay for the debug-build auditor or event hashing.
   spec.audit = slurmlite::AuditMode::kOff;
-  spec.queue = queue;
   return spec;
 }
 
@@ -105,8 +102,8 @@ class RssSamplingSource final : public workload::JobSource {
 
 /// Runs one configuration of one cell. `stream` pulls arrivals lazily
 /// from a GeneratorJobSource (never materializing the JobList);
-/// otherwise the list is generated up front and replayed — the pre-PR
-/// ingestion path. The generator draws identical jobs either way.
+/// otherwise the list is generated up front and replayed. The generator
+/// draws identical jobs either way.
 /// Completion counts come from the metrics (not the record list), so the
 /// same accounting works when spec.controller.retire_finished freed the
 /// records.
@@ -151,26 +148,21 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("single", false)) {
     // One configuration, one process: the JSON record's peak_rss_mb is
-    // attributable to exactly this queue/ingestion combination.
-    const std::string queue_name = flags.get_string("queue", "calendar");
+    // attributable to exactly this ingestion/retirement combination.
     const bool stream = flags.get_bool("stream", false);
     const bool retire = flags.get_bool("retire", false);
     // --rss-every N: with --stream, checkpoint current RSS every N jobs
     // pulled; the emitted series shows whether memory is flat in trace
     // length (CI's scale smoke asserts a ceiling on the checkpoints).
     const int rss_every = static_cast<int>(flags.get_int("rss-every", 0));
-    const sim::QueueKind queue = queue_name == "heap"
-                                     ? sim::QueueKind::kBinaryHeap
-                                     : sim::QueueKind::kCalendar;
-    auto spec = make_spec(env.nodes, env.jobs, strategy, env.base_seed,
-                          load, queue);
+    auto spec =
+        make_spec(env.nodes, env.jobs, strategy, env.base_seed, load);
     spec.controller.retire_finished = retire;
     const auto cell = run_cell(spec, catalog, stream, rss_every);
     // Shared getrusage probe (obs/process_stats.hpp); peak_rss_mb keeps
     // its historical name for the BENCH_pr5/pr7 consumers.
     const obs::ProcessStats process = obs::process_stats();
     std::cout << "{\"nodes\": " << env.nodes << ", \"jobs\": " << env.jobs
-              << ", \"queue\": \"" << queue_name << "\""
               << ", \"stream\": " << (stream ? "true" : "false")
               << ", \"retire\": " << (retire ? "true" : "false")
               << ", \"strategy\": \"" << core::to_string(strategy) << "\""
@@ -202,29 +194,22 @@ int main(int argc, char** argv) {
   const auto job_list =
       parse_list(flags.get_string("jobs-list", "10000,100000"));
 
-  Table t({"nodes", "jobs", "baseline (s)", "fast path (s)", "retire (s)",
-           "speedup", "events", "makespan (h)"});
+  Table t({"nodes", "jobs", "materialized (s)", "streaming (s)",
+           "retire (s)", "events", "makespan (h)"});
   for (const int nodes : node_list) {
     for (const int jobs : job_list) {
-      const auto heap_spec =
-          make_spec(nodes, jobs, strategy, env.base_seed, load,
-                    sim::QueueKind::kBinaryHeap);
-      auto cal_spec =
-          make_spec(nodes, jobs, strategy, env.base_seed, load,
-                    sim::QueueKind::kCalendar);
       // Hash every cell: the two streaming configurations must agree
       // digest-for-digest (retirement reproduces the materialized fold
       // from per-job subdigests), and the uniform hashing cost keeps the
-      // baseline/fast-path timing comparison fair. The baseline's digest
-      // is not comparable — materialized ingestion assigns different
-      // event ids — so it is checked on makespan/completions only.
-      auto heap_hashed = heap_spec;
-      heap_hashed.hash_events = true;
-      cal_spec.hash_events = true;
-      auto retire_spec = cal_spec;
+      // timing comparison fair. The materialized digest is not comparable
+      // — materialized ingestion assigns different event ids — so it is
+      // checked on makespan/completions only.
+      auto spec = make_spec(nodes, jobs, strategy, env.base_seed, load);
+      spec.hash_events = true;
+      auto retire_spec = spec;
       retire_spec.controller.retire_finished = true;
-      const auto before = run_cell(heap_hashed, catalog, /*stream=*/false);
-      const auto after = run_cell(cal_spec, catalog, /*stream=*/true);
+      const auto before = run_cell(spec, catalog, /*stream=*/false);
+      const auto after = run_cell(spec, catalog, /*stream=*/true);
       const auto retired = run_cell(retire_spec, catalog, /*stream=*/true);
       // Same decisions => same schedule; a drift here is a correctness
       // bug, not a perf result.
@@ -246,21 +231,19 @@ int main(int argc, char** argv) {
           .add(before.wall_s, 2)
           .add(after.wall_s, 2)
           .add(retired.wall_s, 2)
-          .add(before.wall_s / after.wall_s, 2)
           .add(static_cast<std::int64_t>(after.events))
           .add(after.makespan_h, 2);
     }
   }
-  bench::emit(t, env, "R-A8: scale fast path (heap+materialized vs "
-                      "calendar+streaming vs +retire)",
-              "Baseline is the pre-PR configuration: binary-heap event "
-              "queue over a fully materialized job list. The fast path "
-              "pops the same events in the same order from a calendar "
-              "queue and pulls arrivals lazily; the retire column adds "
-              "finished-job retirement (flat memory) and is digest-"
-              "checked against the fast path. The makespan column is "
-              "shared by construction. Peak-RSS comparisons need "
-              "--single (one process per configuration).");
+  bench::emit(t, env, "R-A8: scale fast path (materialized vs streaming "
+                      "vs +retire)",
+              "The materialized column replays a job list generated up "
+              "front; the streaming column pulls the same arrivals "
+              "lazily; the retire column adds finished-job retirement "
+              "(flat memory) and is digest-checked against streaming. "
+              "The makespan column is shared by construction. Peak-RSS "
+              "comparisons need --single (one process per "
+              "configuration).");
   bench::finish(env);
   return 0;
 }

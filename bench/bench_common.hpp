@@ -79,10 +79,6 @@ struct BenchEnv {
     env.manifest.command = command;
     env.manifest.strategy = flags.get_string("strategy", "-");
     env.manifest.queue_policy = "-";
-    env.manifest.event_queue =
-        sim::default_queue_kind() == sim::QueueKind::kBinaryHeap
-            ? "heap"
-            : "calendar";
     env.manifest.workload = flags.get_string("campaign", "-");
     env.manifest.seed = env.base_seed;
     env.manifest.nodes = env.nodes;

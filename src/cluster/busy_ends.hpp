@@ -8,35 +8,26 @@
 // structure that preserves the multiset preserves every scheduling
 // decision bit-for-bit.
 //
-// Two implementations share the interface:
-//
-//   BusyEndsFlat     — the PR 4 sorted vector. insert/erase memmove
-//                      O(busy) elements; kth is a direct index. The
-//                      differential reference, and the production path
-//                      when the build defines COSCHED_FLAT_INDEX.
-//   BusyEndsFenwick  — calendar-style time buckets (a power-of-two
-//                      quantum, 2^20 us ~ 1 s by default) with a Fenwick
-//                      tree over per-bucket counts. insert/erase update
-//                      one small sorted bucket plus O(log buckets)
-//                      Fenwick nodes; kth descends the tree in
-//                      O(log buckets); count_leq is a prefix sum plus an
-//                      in-bucket upper_bound. When a value lands outside
-//                      the current window the structure deterministically
-//                      rebuilds around the live span (growing the quantum
-//                      if the span would exceed the bucket cap), so the
-//                      layout is a pure function of the multiset contents
-//                      and the incoming value — never of wall-clock state.
+// BusyEnds keeps calendar-style time buckets (a power-of-two quantum,
+// 2^20 us ~ 1 s by default) with a Fenwick tree over per-bucket counts.
+// insert/erase update one small sorted bucket plus O(log buckets) Fenwick
+// nodes; kth descends the tree in O(log buckets); count_leq is a prefix
+// sum plus an in-bucket upper_bound. When a value lands outside the
+// current window the structure deterministically rebuilds around the
+// live span (growing the quantum if the span would exceed the bucket
+// cap), so the layout is a pure function of the multiset contents and
+// the incoming value — never of wall-clock state.
 //
 // Within a bucket, equal values form runs; insert lands at upper_bound
 // (run end) and erase removes the element *before* upper_bound (run
 // tail), so the all-equal worst case — every node busy with the same
-// walltime end — costs O(1) per update instead of the flat vector's
+// walltime end — costs O(1) per update instead of a sorted vector's
 // O(busy). Ties need no further care: entries are values, not keys, so
 // "which equal element" is unobservable. kTimeInfinity (the default for
 // direct machine users in tests) is held in a plain counter — infinite
 // ends never enter the bucket window, keeping the window tight around
-// live finite ends. tests/width_index_test.cpp fuzzes the two
-// implementations against each other after every operation.
+// live finite ends. tests/width_index_test.cpp fuzzes it against a
+// sorted-vector oracle after every operation.
 #pragma once
 
 #include <algorithm>
@@ -49,62 +40,9 @@
 
 namespace cosched::cluster {
 
-/// Sorted-vector reference implementation (see file comment).
-class BusyEndsFlat {
+/// Fenwick-indexed calendar-bucket multiset (see file comment).
+class BusyEnds {
  public:
-  void reserve(int n) { ends_.reserve(static_cast<std::size_t>(n)); }
-  void clear() { ends_.clear(); }
-  int size() const { return static_cast<int>(ends_.size()); }
-
-  void insert(SimTime end) {
-    ends_.insert(std::upper_bound(ends_.begin(), ends_.end(), end), end);
-  }
-
-  void erase(SimTime end) {
-    const auto it = std::upper_bound(ends_.begin(), ends_.end(), end);
-    COSCHED_CHECK_MSG(it != ends_.begin() && *(it - 1) == end,
-                      "busy-ends multiset lost entry " << end);
-    ends_.erase(it - 1);
-  }
-
-  /// The k-th smallest end, 0-based.
-  SimTime kth(int k) const {
-    COSCHED_CHECK(k >= 0 && k < size());
-    return ends_[static_cast<std::size_t>(k)];
-  }
-
-  /// Number of ends <= t.
-  int count_leq(SimTime t) const {
-    return static_cast<int>(
-        std::upper_bound(ends_.begin(), ends_.end(), t) - ends_.begin());
-  }
-
-  /// Ascending walk over every end.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (SimTime end : ends_) f(end);
-  }
-
-  std::vector<SimTime> to_sorted_vector() const { return ends_; }
-
- private:
-  std::vector<SimTime> ends_;
-};
-
-/// Fenwick-indexed calendar-bucket implementation (see file comment).
-class BusyEndsFenwick {
- public:
-  void reserve(int) {}  // sizing is demand-driven (window rebuilds)
-  void clear() {
-    buckets_.clear();
-    fenwick_.clear();
-    rebuild_scratch_.clear();
-    top_ = 0;
-    base_ = 0;
-    shift_ = kDefaultShift;
-    finite_ = 0;
-    inf_ = 0;
-  }
   int size() const { return finite_ + inf_; }
 
   void insert(SimTime end) {
@@ -264,11 +202,5 @@ class BusyEndsFenwick {
   int finite_ = 0;
   int inf_ = 0;  ///< kTimeInfinity entries live outside the window
 };
-
-#if defined(COSCHED_FLAT_INDEX)
-using BusyEnds = BusyEndsFlat;
-#else
-using BusyEnds = BusyEndsFenwick;
-#endif
 
 }  // namespace cosched::cluster

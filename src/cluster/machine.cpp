@@ -26,9 +26,6 @@ Machine::Machine(int node_count, const NodeConfig& config,
   primary_job_.assign(static_cast<std::size_t>(node_count), kInvalidJob);
   node_gens_.assign(static_cast<std::size_t>(node_count), 0);
   node_dirty_flag_.assign(static_cast<std::size_t>(node_count), 0);
-  // Capacity hint: every node can be busy at once (the flat reference
-  // implementation preallocates; the bucketed one sizes on demand).
-  busy_ends_.reserve(node_count);
   for (int i = 0; i < node_count; ++i) {
     nodes_.emplace_back(static_cast<NodeId>(i), config);
     free_primary_.insert(static_cast<NodeId>(i));

@@ -118,17 +118,6 @@ class Machine {
   JobId primary_job_of(NodeId id) const {
     return primary_job_[static_cast<std::size_t>(id)];
   }
-  /// Primary occupancy of every node, indexed by NodeId.
-  std::span<const JobId> primary_jobs() const { return primary_job_; }
-  /// Latest resident walltime end per node (valid iff the busy flag is
-  /// set), indexed by NodeId.
-  std::span<const SimTime> free_ends() const { return free_end_; }
-  /// 1 iff the node is up and holds >= 1 job, indexed by NodeId.
-  std::span<const std::uint8_t> busy_flags() const { return node_busy_; }
-  /// Per-node generation stamps, indexed by NodeId (see node_generation).
-  std::span<const std::uint64_t> node_generations() const {
-    return node_gens_;
-  }
 
   // --- Free-time index ------------------------------------------------------
   // All queries take `now` so cached walltime ends in the past clamp to the
@@ -276,8 +265,7 @@ class Machine {
   /// Residency mirror: each node's primary-slot job, so candidate scans
   /// read one contiguous array instead of Node::slots_ vectors.
   std::vector<JobId> primary_job_;
-  /// Order statistics over busy nodes' ends: Fenwick calendar buckets in
-  /// the default build, the flat sorted vector under COSCHED_FLAT_INDEX
+  /// Order statistics over busy nodes' ends: Fenwick calendar buckets
   /// (see busy_ends.hpp).
   BusyEnds busy_ends_;
   std::vector<std::uint64_t> node_gens_;

@@ -1,6 +1,7 @@
 #include "core/pairing.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "util/check.hpp"
 
@@ -139,19 +140,19 @@ CoAllocator::Verdict CoAllocator::evaluate(
         }
         return {throughput, obs::ReasonCode::kAccepted};
       }
-      // Bump storage: pointer bumps instead of the malloc/free pairs the
-      // no-per-pass-alloc lint rule bans from the decision path.
-      PassArena::Frame gate_frame = arena_.frame();
-      const std::size_t nstress = residents.size() + 1;
-      std::span<apps::StressVector> stresses =
-          gate_frame.alloc_span<apps::StressVector>(nstress);
-      for (std::size_t i = 0; i < residents.size(); ++i) {
-        stresses[i] = residents[i]->stress;
+      // Reused member buffers: no malloc/free pair per gate once they
+      // have grown (the no-per-pass-alloc lint rule's concern).
+      stresses_.clear();
+      for (const apps::AppModel* app : residents) {
+        stresses_.push_back(app->stress);
       }
-      stresses[residents.size()] = cand_app.stress;
-      std::span<double> slowdowns = gate_frame.alloc_span<double>(nstress);
-      host.corun().slowdowns_into(
-          stresses, gate_frame.alloc_span<double>(nstress), slowdowns);
+      stresses_.push_back(cand_app.stress);
+      const std::size_t nstress = stresses_.size();
+      slowdown_scratch_.resize(2 * nstress);
+      const std::span<double> staging(slowdown_scratch_);
+      const std::span<double> slowdowns = staging.first(nstress);
+      host.corun().slowdowns_into(stresses_, staging.subspan(nstress),
+                                  slowdowns);
       double throughput = 0;
       for (double sd : slowdowns) {
         if (sd > options_.max_dilation) {
@@ -162,7 +163,7 @@ CoAllocator::Verdict CoAllocator::evaluate(
         // partials in that same order to stay bit-identical.
         throughput += 1.0 / sd;  // cosched-lint: fixed-combine
       }
-      const auto extra_jobs = static_cast<double>(stresses.size() - 1);
+      const auto extra_jobs = static_cast<double>(nstress - 1);
       if (throughput < 1.0 + options_.pairing_threshold * extra_jobs) {
         return {std::nullopt, obs::ReasonCode::kBelowThreshold};
       }

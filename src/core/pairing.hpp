@@ -29,7 +29,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/arena.hpp"
 #include "core/scheduler.hpp"
 #include "obs/trace.hpp"
 
@@ -51,12 +50,6 @@ class CoAllocator {
   /// Ranking score given to class-rule admits and learned-mode admits of
   /// unseen pairs (no quantitative prediction available).
   static constexpr double kLearnedFallbackScore = 1.0;
-
-  /// High-water bytes of the gate's stress-staging arena. Feeds the
-  /// `arena_bytes_wall` gauge; reporting only.
-  std::size_t arena_bytes_high_water() const {
-    return arena_.bytes_high_water();
-  }
 
  private:
   /// The gate's answer for one (signature, candidate app): the node's
@@ -142,8 +135,10 @@ class CoAllocator {
   mutable std::vector<Row> merged_;  ///< refresh_table's merge target
   mutable std::vector<Admitted> admitted_;
   mutable std::vector<std::pair<double, NodeId>> ranked_;  ///< (-score, node)
-  /// Bump storage for multi-resident stress staging.
-  mutable PassArena arena_;
+  /// Multi-resident oracle staging: the stress vectors, then 2k doubles
+  /// (slowdowns, then slowdowns_into scratch).
+  mutable std::vector<apps::StressVector> stresses_;
+  mutable std::vector<double> slowdown_scratch_;
 };
 
 }  // namespace cosched::core

@@ -81,10 +81,6 @@ class Scheduler {
   virtual std::string name() const = 0;
   /// Attempts to start pending jobs. Must be idempotent at fixed state.
   virtual void schedule(SchedulerHost& host) = 0;
-  /// High-water bytes of the strategy's pass-scratch arenas (see
-  /// core::PassArena). Feeds the `arena_bytes_wall` gauge; reporting
-  /// only. Strategies without arena scratch report 0.
-  virtual std::size_t arena_bytes_high_water() const { return 0; }
 };
 
 /// The strategies the evaluation compares. The paper derives CoFirstFit

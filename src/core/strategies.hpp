@@ -85,9 +85,6 @@ class CoFirstFitScheduler final : public Scheduler {
       : co_(options) {}
   std::string name() const override { return "cofirstfit"; }
   void schedule(SchedulerHost& host) override;
-  std::size_t arena_bytes_high_water() const override {
-    return co_.arena_bytes_high_water();
-  }
 
  private:
   CoAllocator co_;
@@ -105,9 +102,6 @@ class CoBackfillScheduler final : public EasyBackfillScheduler {
         co_(options) {}
   std::string name() const override { return "cobackfill"; }
   void schedule(SchedulerHost& host) override;
-  std::size_t arena_bytes_high_water() const override {
-    return co_.arena_bytes_high_water();
-  }
 
  private:
   CoAllocator co_;
@@ -124,9 +118,6 @@ class CoConservativeScheduler final : public ConservativeBackfillScheduler {
       : co_(options) {}
   std::string name() const override { return "coconservative"; }
   void schedule(SchedulerHost& host) override;
-  std::size_t arena_bytes_high_water() const override {
-    return co_.arena_bytes_high_water();
-  }
 
  private:
   CoAllocator co_;

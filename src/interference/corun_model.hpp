@@ -64,8 +64,8 @@ class CorunModel {
   /// out[j]. `scratch` is caller storage for the intermediate effective-
   /// bandwidth terms; both spans must hold jobs.size() entries. The math
   /// (operations and their order) is exactly the vector overload's, so the
-  /// results are bit-identical — hot paths call this with arena-backed
-  /// spans (core::PassArena) instead of paying a malloc per gate.
+  /// results are bit-identical — hot paths call this with spans over
+  /// reused member buffers instead of paying a malloc per gate.
   void slowdowns_into(std::span<const apps::StressVector> jobs,
                       std::span<double> scratch, std::span<double> out) const;
 

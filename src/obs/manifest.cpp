@@ -33,7 +33,6 @@ void write_manifest_fields(JsonWriter& w, const RunManifest& m,
   w.value("command", m.command);
   w.value("strategy", m.strategy);
   w.value("queue_policy", m.queue_policy);
-  w.value("event_queue", m.event_queue);
   w.value("workload", m.workload);
   w.value("seed", static_cast<std::int64_t>(m.seed));
   w.value("nodes", m.nodes);

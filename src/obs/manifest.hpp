@@ -36,7 +36,6 @@ struct RunManifest {
   std::string command;           ///< subcommand or bench cell name
   std::string strategy;
   std::string queue_policy;      ///< controller queue: "fifo" / "priority"
-  std::string event_queue;       ///< engine queue: "heap" / "calendar"
   std::string workload;          ///< campaign name or SWF path
   std::uint64_t seed = 0;
   int nodes = 0;

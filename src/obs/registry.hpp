@@ -11,10 +11,9 @@
 // scheduling decisions, and the JSON dump orders instruments by name, so
 // two identical runs serialize identical documents — except histograms or
 // counters that record *wall-clock* or otherwise build-dependent
-// quantities (scheduler pass latency, blocks skipped by an index variant,
-// arena high-water marks), which are labelled with a `_wall_` infix or
-// `_wall` suffix by convention and excluded from any byte-comparison
-// (DESIGN.md "Observability").
+// quantities (scheduler pass latency, blocks skipped by the node index),
+// which are labelled with a `_wall_` infix or `_wall` suffix by convention
+// and excluded from any byte-comparison (DESIGN.md "Observability").
 #pragma once
 
 #include <cstdint>

@@ -1,23 +1,8 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 namespace cosched::sim {
-
-namespace {
-
-std::atomic<QueueKind> g_default_queue_kind{QueueKind::kCalendar};
-
-}  // namespace
-
-QueueKind default_queue_kind() {
-  return g_default_queue_kind.load(std::memory_order_relaxed);
-}
-
-void set_default_queue_kind(QueueKind kind) {
-  g_default_queue_kind.store(kind, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // CalendarQueue
@@ -210,7 +195,6 @@ Engine::~Engine() {
     s.destroy(s);
     slot_of_id_[entry.id - 1 - id_floor_] = kNoSlot;
   };
-  for (const Entry& entry : heap_) destroy_pending(entry);
   calendar_.for_each(destroy_pending);
 }
 
@@ -257,13 +241,7 @@ EventId Engine::push_event(SimTime when, EventPriority priority,
   compact_id_table();
   const EventId id = next_id_++;
   slot_of_id_.push_back(slot_idx);
-  const Entry entry{when, priority, id, slot_idx, label};
-  if (kind_ == QueueKind::kBinaryHeap) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end());
-  } else {
-    calendar_.push(entry);
-  }
+  calendar_.push(Entry{when, priority, id, slot_idx, label});
   ++live_events_;
   return id;
 }
@@ -291,24 +269,8 @@ void Engine::maybe_purge() {
   // amortizes to O(1) per cancel. The floor keeps small runs sweep-free.
   static constexpr std::size_t kMinPurge = 4096;
   if (dead_queued_ < kMinPurge || dead_queued_ <= live_events_) return;
-  const auto live = [this](const Entry& e) { return is_live(e.id); };
-  std::size_t removed;
-  if (kind_ == QueueKind::kBinaryHeap) {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      if (live(heap_[i])) heap_[kept++] = heap_[i];
-    }
-    removed = heap_.size() - kept;
-    heap_.resize(kept);
-    if (heap_.capacity() > 64 && kept < heap_.capacity() / 4) {
-      heap_.shrink_to_fit();
-    }
-    // Re-heap the survivors. A heap pops strictly by the full entry key,
-    // so the rebuilt internal layout cannot change the pop sequence.
-    std::make_heap(heap_.begin(), heap_.end());
-  } else {
-    removed = calendar_.purge(live);
-  }
+  const std::size_t removed =
+      calendar_.purge([this](const Entry& e) { return is_live(e.id); });
   COSCHED_CHECK(removed == dead_queued_);
   purged_total_ += removed;
   dead_queued_ = 0;
@@ -316,11 +278,7 @@ void Engine::maybe_purge() {
 
 void Engine::reserve_events(std::size_t additional) {
   slot_of_id_.reserve(slot_of_id_.size() + additional);
-  if (kind_ == QueueKind::kBinaryHeap) {
-    heap_.reserve(heap_.size() + additional);
-  } else {
-    calendar_.reserve(additional);
-  }
+  calendar_.reserve(additional);
 }
 
 void Engine::add_observer(EventObserver* observer) {
@@ -337,14 +295,6 @@ void Engine::remove_observer(EventObserver* observer) {
 }
 
 const Engine::Entry* Engine::peek() {
-  if (kind_ == QueueKind::kBinaryHeap) {
-    while (!heap_.empty() && !is_live(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end());
-      heap_.pop_back();
-      --dead_queued_;
-    }
-    return heap_.empty() ? nullptr : &heap_.front();
-  }
   while (!calendar_.empty()) {
     const Entry& e = calendar_.top();
     if (is_live(e.id)) return &e;
@@ -354,20 +304,11 @@ const Engine::Entry* Engine::peek() {
   return nullptr;
 }
 
-void Engine::drop_top() {
-  if (kind_ == QueueKind::kBinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end());
-    heap_.pop_back();
-  } else {
-    calendar_.pop();
-  }
-}
-
 bool Engine::step() {
   const Entry* top = peek();
   if (top == nullptr) return false;
   const Entry entry = *top;
-  drop_top();
+  calendar_.pop();
   COSCHED_CHECK(entry.time >= now_);
   now_ = entry.time;
   slot_of_id_[entry.id - 1 - id_floor_] = kNoSlot;

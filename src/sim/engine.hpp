@@ -9,15 +9,13 @@
 // at one instant: job completions release resources before the scheduler
 // pass that wants to use them, and submissions enqueue before that pass.
 //
-// Two interchangeable queue implementations sit behind the same total
-// order (QueueKind): the historical binary heap (O(log n) per operation)
-// and a calendar queue — a ring of time buckets with an unsorted overflow
-// shelf — whose insert and pop are O(1) amortized at archive-trace scale.
-// Bucket membership is a pure function of time, buckets partition time
-// disjointly, and the bucket under the cursor is ordered by the full
-// (time, priority, id) key, so both structures pop the exact same
-// sequence; the determinism audit and a differential fuzz test hold them
-// to that.
+// The pending events sit in a calendar queue — a ring of time buckets with
+// an unsorted overflow shelf — whose insert and pop are O(1) amortized at
+// archive-trace scale. Bucket membership is a pure function of time,
+// buckets partition time disjointly, and the bucket under the cursor is
+// ordered by the full (time, priority, id) key, so the queue pops in
+// exactly that total order; tests/engine_queue_test.cpp fuzzes it against
+// a std::map keyed by the same triple.
 //
 // Event payloads live in a slab pool, not behind per-event heap
 // allocations: callbacks small enough for the inline buffer are
@@ -29,10 +27,11 @@
 // entries are discarded when popped — and, so that cancel-heavy workloads
 // (every job that completes cancels its walltime kill, typically hours in
 // the future) don't pile dead entries into far-future buckets until sim
-// time reaches them, the queues are purged whenever tombstones outnumber
-// live events. The purge only deletes entries already dead and re-heaps;
-// the pop sequence of live events is untouched (heaps pop by full key regardless of internal array
-// layout), so it is invisible to every decision. The table is *windowed*: ids die
+// time reaches them, the queue is purged whenever tombstones outnumber
+// live events. The purge only deletes entries already dead and re-heaps
+// the cursor bucket; the pop sequence of live events is untouched (a heap
+// pops by full key regardless of its internal layout), so it is invisible
+// to every decision. The table is *windowed*: ids die
 // roughly in issue order (an event either fires or is cancelled within its
 // scheduling horizon), so a monotone dead prefix is compacted away and the
 // table holds only the span from the oldest live id to the newest —
@@ -65,18 +64,6 @@ enum class EventPriority : std::int8_t {
   kReport = 4,     // observers run last
 };
 
-/// Which pending-event structure an Engine runs on. Pop order is identical;
-/// only the cost model differs.
-enum class QueueKind : std::int8_t {
-  kCalendar = 0,    // bucketed calendar queue, O(1) amortized
-  kBinaryHeap = 1,  // std::push_heap/pop_heap, O(log n)
-};
-
-/// Process-wide default for engines constructed without an explicit kind
-/// (the CLI's --event-queue flag sets this). Starts as kCalendar.
-QueueKind default_queue_kind();
-void set_default_queue_kind(QueueKind kind);
-
 /// Handle for cancelling a scheduled event.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
@@ -99,13 +86,10 @@ class EventObserver {
 
 class Engine {
  public:
-  Engine() : Engine(default_queue_kind()) {}
-  explicit Engine(QueueKind kind) : kind_(kind) {}
+  Engine() = default;
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  QueueKind queue_kind() const { return kind_; }
 
   /// Current simulation time. Starts at 0.
   SimTime now() const { return now_; }
@@ -178,8 +162,8 @@ class Engine {
   bool cancel(EventId id);
 
   /// Hints the expected number of future schedule_at calls so the id->slot
-  /// table (and, on the heap queue, the entry array) grow once instead of
-  /// doubling through the submit burst.
+  /// table and the overflow shelf grow once instead of doubling through
+  /// the submit burst.
   void reserve_events(std::size_t additional);
 
   /// Runs until the queue drains. Returns the number of events executed.
@@ -202,9 +186,8 @@ class Engine {
   /// bound.
   std::size_t id_table_entries() const { return slot_of_id_.size(); }
 
-  /// Tombstoned entries currently parked in a queue, and cumulative entries
-  /// deleted by purge sweeps (test/diagnostic seams; never feed decisions).
-  std::size_t dead_queued() const { return dead_queued_; }
+  /// Cumulative queue entries deleted by purge sweeps (test/diagnostic
+  /// seam; never feeds decisions).
   std::uint64_t purged_total() const { return purged_total_; }
 
   /// Registers an observer notified after every executed event, in
@@ -252,8 +235,8 @@ class Engine {
   /// shelf. Buckets stay unsorted until the cursor reaches them, then one
   /// make_heap orders the bucket by the full entry key; pops pop_heap the
   /// cursor bucket and mid-drain inserts push_heap into it, so within a
-  /// bucket the order is exactly the binary heap's. Across buckets time
-  /// ranges are disjoint, so the global pop sequence matches too.
+  /// bucket entries pop in full key order. Across buckets time ranges are
+  /// disjoint, so the global pop sequence is the total key order too.
   ///
   /// When the ring drains, geometry re-anchors on the shelf: bucket count
   /// scales with the deferred population and width targets a few entries
@@ -267,7 +250,6 @@ class Engine {
    public:
     void push(const Entry& e);
     bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
     /// The smallest live-or-dead entry by (time, priority, id). Valid until
     /// the next push/pop. Requires !empty().
     const Entry& top();
@@ -331,11 +313,9 @@ class Engine {
   void release_slot(std::uint32_t idx);
   EventId push_event(SimTime when, EventPriority priority, const char* label,
                      std::uint32_t slot_idx);
-  /// Next live entry across either queue, discarding tombstones; nullptr
-  /// when drained. The pointer is valid until the next queue mutation.
+  /// Next live entry, discarding tombstones; nullptr when drained. The
+  /// pointer is valid until the next queue mutation.
   const Entry* peek();
-  /// Removes the entry peek() returned.
-  void drop_top();
   /// Live events only: cancelled/executed ids map to kNoSlot; ids at or
   /// below the compaction floor are dead by construction.
   bool is_live(EventId id) const {
@@ -344,16 +324,14 @@ class Engine {
   /// Advances the dead prefix over retired ids and, once it dominates the
   /// table, erases it (amortized O(1) per event over a run).
   void compact_id_table();
-  /// Deletes tombstoned entries from the active queue once they outnumber
+  /// Deletes tombstoned entries from the queue once they outnumber
   /// live events. Amortized O(1) per cancel: a sweep touching ring + shelf
   /// removes at least half of all entries, paid for by the cancels that
   /// created them. Pure function of already-dead state — no decision, no
   /// EventId, and no pop order changes.
   void maybe_purge();
 
-  QueueKind kind_;
-  std::vector<Entry> heap_;  // kBinaryHeap entries
-  CalendarQueue calendar_;   // kCalendar entries
+  CalendarQueue calendar_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::vector<std::uint32_t> free_slots_;
   /// slot_of_id_[id - 1 - id_floor_] is the payload slot of event `id`, or
@@ -369,7 +347,7 @@ class Engine {
   EventId next_id_ = 1;
   std::size_t live_events_ = 0;
   std::size_t executed_ = 0;
-  std::size_t dead_queued_ = 0;    // tombstoned entries still in a queue
+  std::size_t dead_queued_ = 0;    // tombstoned entries still queued
   std::uint64_t purged_total_ = 0; // entries deleted by purge sweeps
   std::vector<EventObserver*> observers_;
 };

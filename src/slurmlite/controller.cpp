@@ -112,8 +112,8 @@ void Controller::submit(workload::Job job) {
 }
 
 void Controller::submit_all(const workload::JobList& jobs) {
-  // A full batch is known-size: grow the id->slot table and the heap-queue
-  // entry array once instead of doubling through the submit burst.
+  // A full batch is known-size: grow the engine's id->slot table and
+  // overflow shelf once instead of doubling through the submit burst.
   engine_.reserve_events(jobs.size());
   jobs_.reserve(jobs_.size() + jobs.size());
   submit_index_.reserve(submit_index_.size() + jobs.size());
@@ -511,15 +511,12 @@ void Controller::run_scheduler_pass() {
         ->histogram("pass_wall_us",
                     {10, 50, 100, 500, 1000, 5000, 10000, 100000})
         .observe(static_cast<double>(pass_wall_ns / 1000));
-    // Index/arena effectiveness, host-side quantities: the `_wall` suffix
-    // excludes both from byte-compared registry dumps (skip counts depend
-    // on which scans the strategy happened to run before a hit, arena
-    // high-water on allocator geometry — neither feeds a decision).
+    // Index effectiveness, a host-side quantity: the `_wall` suffix
+    // excludes it from byte-compared registry dumps (skip counts depend
+    // on which scans the strategy happened to run before a hit, and never
+    // feed a decision).
     registry_->counter("index_blocks_skipped_wall")
         .inc(machine_.take_index_blocks_skipped());
-    registry_->gauge("arena_bytes_wall")
-        .set(static_cast<double>(execution_.arena_bytes_high_water() +
-                                 scheduler_->arena_bytes_high_water()));
   }
   // Record the no-op snapshot for the generation exit above. A pass that
   // started nothing left both generations exactly as it found them.

@@ -60,10 +60,7 @@ double ExecutionModel::compute_rate(const Running& job) const {
     // compacting here reproduces the same resident sequence (and thus the
     // same FP operation order in the corun model) without the vector.
     const std::vector<JobId>& slots = node.slot_jobs();
-    core::PassArena::Frame node_frame = arena_.frame();
-    std::span<apps::StressVector> stresses =
-        node_frame.alloc_span<apps::StressVector>(slots.size());
-    std::size_t k = 0;
+    stresses_.clear();
     std::size_t my_index = slots.size();
     for (JobId resident : slots) {
       if (resident == kInvalidJob) continue;
@@ -71,13 +68,16 @@ double ExecutionModel::compute_rate(const Running& job) const {
       COSCHED_CHECK_MSG(co != nullptr,
                         "job " << resident
                                << " on machine but not tracked as running");
-      if (resident == job.id) my_index = k;
-      stresses[k++] = catalog_.get(co->app).stress;
+      if (resident == job.id) my_index = stresses_.size();
+      stresses_.push_back(catalog_.get(co->app).stress);
     }
+    const std::size_t k = stresses_.size();
     COSCHED_CHECK(my_index < k);
-    std::span<double> slowdowns = node_frame.alloc_span<double>(k);
-    corun_.slowdowns_into(stresses.first(k), node_frame.alloc_span<double>(k),
-                          slowdowns);
+    // First half: the slowdowns; second half: slowdowns_into's scratch.
+    slowdown_scratch_.resize(2 * k);
+    const std::span<double> staging(slowdown_scratch_);
+    const std::span<double> slowdowns = staging.first(k);
+    corun_.slowdowns_into(stresses_, staging.subspan(k), slowdowns);
     worst = std::max(worst, slowdowns[my_index]);
   }
   return 1.0 / worst;

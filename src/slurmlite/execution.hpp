@@ -23,7 +23,6 @@
 
 #include "apps/catalog.hpp"
 #include "cluster/machine.hpp"
-#include "core/arena.hpp"
 #include "interference/corun_model.hpp"
 #include "util/types.hpp"
 #include "workload/job.hpp"
@@ -90,13 +89,6 @@ class ExecutionModel {
   std::uint64_t rate_changes() const { return rate_changes_; }
 
   std::size_t running_count() const { return running_.size(); }
-  bool is_running(JobId id) const { return find(id) != nullptr; }
-
-  /// High-water bytes of the rate-computation scratch arena. Feeds the
-  /// `arena_bytes_wall` gauge; reporting only.
-  std::size_t arena_bytes_high_water() const {
-    return arena_.bytes_high_water();
-  }
 
  private:
   struct Running {
@@ -141,9 +133,11 @@ class ExecutionModel {
   /// walks the machine's dirty nodes and everything else looks jobs up by
   /// id, so its order cannot reach a decision.
   std::unordered_map<JobId, Running> running_;
-  /// Bump storage for compute_rate's per-node stress/slowdown staging
-  /// (controller thread only; frames rewind it per call).
-  mutable core::PassArena arena_;
+  /// compute_rate's per-node staging: the residents' stress vectors and
+  /// 2k doubles (slowdowns, then slowdowns_into scratch). Reused across
+  /// calls, so after warm-up a rate computation allocates nothing.
+  mutable std::vector<apps::StressVector> stresses_;
+  mutable std::vector<double> slowdown_scratch_;
   /// Jobs whose end moved in the last refresh_rates() (its return value).
   std::vector<JobId> moved_;
   /// Monotone id of the current refresh_rates() call (visit dedup).

@@ -34,7 +34,7 @@ template <typename SubmitFn>
 SimulationResult run_with(const SimulationSpec& spec,
                           const apps::Catalog& catalog, SubmitFn&& submit) {
   COSCHED_PROF_SCOPE("simulate");
-  sim::Engine engine(spec.queue.value_or(sim::default_queue_kind()));
+  sim::Engine engine;
   Controller controller(engine, spec.controller, catalog);
 
   std::optional<audit::StateAuditor> auditor;

@@ -5,12 +5,9 @@
 
 #include <cstdint>
 
-#include <optional>
-
 #include "apps/catalog.hpp"
 #include "audit/determinism.hpp"
 #include "metrics/metrics.hpp"
-#include "sim/engine.hpp"
 #include "slurmlite/controller.hpp"
 #include "workload/generator.hpp"
 #include "workload/source.hpp"
@@ -33,10 +30,6 @@ struct SimulationSpec {
   AuditMode audit = AuditMode::kAuto;
   /// Compute SimulationResult::event_stream_hash (determinism checks).
   bool hash_events = false;
-  /// Event-queue implementation; unset runs sim::default_queue_kind().
-  /// Both kinds pop identically, so digests and decisions do not depend
-  /// on this — EngineQueueParity pins that.
-  std::optional<sim::QueueKind> queue;
 };
 
 struct SimulationResult {

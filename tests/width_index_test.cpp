@@ -1,11 +1,8 @@
 // Differential fuzz of the node-width index layer (DESIGN.md "Node-width
-// sublinear indexes"): the hierarchical NodeIdSet scan vs its flat linear
-// reference, and BusyEndsFenwick vs the BusyEndsFlat sorted vector. Both
-// pairs must agree on every query after every operation — the production
-// build uses the indexed paths, a COSCHED_FLAT_INDEX build the flat ones,
-// and the CI digest comparison between those builds only means something
-// if the structures are genuinely interchangeable. All deterministic
-// (seeded PCG), so failures reproduce.
+// sublinear indexes"): NodeIdSet iteration against a std::set, and
+// BusyEnds against a sorted-vector oracle. Each pair must agree on every
+// query after every operation. All deterministic (seeded PCG), so
+// failures reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,13 +17,19 @@
 namespace cosched::cluster {
 namespace {
 
-// --- NodeIdSet: indexed scans vs linear reference -----------------------------------
+// --- NodeIdSet: block-skipping iteration vs std::set ----------------------
 
 /// Node counts straddling the word (64) and block (4096) boundaries, plus
 /// the 16k production scale the index exists for.
 class WidthIndexFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(WidthIndexFuzz, IndexedScanMatchesLinearEverywhere) {
+std::vector<NodeId> walk(const NodeIdSet& set) {
+  std::vector<NodeId> walked;
+  for (NodeId n : set) walked.push_back(n);
+  return walked;
+}
+
+TEST_P(WidthIndexFuzz, IterationReplaysTheSortedMemberList) {
   const int capacity = GetParam();
   Pcg32 rng(static_cast<std::uint64_t>(capacity), 0xa10);
   NodeIdSet set(capacity);
@@ -43,51 +46,7 @@ TEST_P(WidthIndexFuzz, IndexedScanMatchesLinearEverywhere) {
     }
     set.check_summary();
     ASSERT_EQ(set.size(), static_cast<int>(reference.size()));
-
-    // Indexed and linear scans must agree from every probe origin: the
-    // member ids themselves, their neighbours (word/block straddles), and
-    // a few random origins.
-    std::vector<NodeId> probes;
-    const NodeId probe_id =
-        static_cast<NodeId>(rng.uniform_int(0, capacity - 1));
-    probes.push_back(probe_id);
-    probes.push_back(0);
-    probes.push_back(static_cast<NodeId>(capacity - 1));
-    for (NodeId member : reference) {
-      probes.push_back(member);
-      if (member > 0) probes.push_back(member - 1);
-      if (member + 1 < capacity) probes.push_back(member + 1);
-      if (probes.size() > 64) break;  // keep the quadratic factor bounded
-    }
-    for (NodeId from : probes) {
-      const NodeId linear = set.next_set_bit_linear(from);
-      ASSERT_EQ(set.next_set_bit_indexed(from), linear)
-          << "capacity " << capacity << " probe " << from;
-      const auto it = reference.lower_bound(from);
-      ASSERT_EQ(linear,
-                it == reference.end() ? static_cast<NodeId>(capacity) : *it)
-          << "capacity " << capacity << " probe " << from;
-    }
-  }
-}
-
-TEST_P(WidthIndexFuzz, IterationReplaysTheSortedMemberList) {
-  const int capacity = GetParam();
-  Pcg32 rng(static_cast<std::uint64_t>(capacity), 0xa11);
-  NodeIdSet set(capacity);
-  std::set<NodeId> reference;
-  for (int op = 0; op < 300; ++op) {
-    const NodeId id =
-        static_cast<NodeId>(rng.uniform_int(0, capacity - 1));
-    if (rng.uniform_int(0, 2) != 0) {
-      set.insert(id);
-      reference.insert(id);
-    } else {
-      set.erase(id);
-      reference.erase(id);
-    }
-    std::vector<NodeId> walked;
-    for (NodeId n : set) walked.push_back(n);
+    const std::vector<NodeId> walked = walk(set);
     ASSERT_TRUE(std::equal(walked.begin(), walked.end(), reference.begin(),
                            reference.end()))
         << "capacity " << capacity << " after op " << op;
@@ -103,46 +62,67 @@ TEST_P(WidthIndexFuzz, SparseAndDenseExtremes) {
                     static_cast<NodeId>(capacity - 1)}) {
     if (id >= capacity) continue;
     set.insert(id);
-    EXPECT_EQ(set.next_set_bit_indexed(0), set.next_set_bit_linear(0));
-    EXPECT_EQ(set.next_set_bit_indexed(id), id);
-    EXPECT_EQ(set.next_set_bit_indexed(id + 1),
-              set.next_set_bit_linear(id + 1));
+    EXPECT_EQ(walk(set), std::vector<NodeId>{id});
     set.check_summary();
     set.erase(id);
-    EXPECT_EQ(set.next_set_bit_indexed(0), static_cast<NodeId>(capacity));
+    EXPECT_TRUE(walk(set).empty());
     set.check_summary();
   }
-  // Full set: every probe answers itself.
+  // Full set: iteration visits every id in order.
   for (NodeId id = 0; id < capacity; ++id) set.insert(id);
   set.check_summary();
   EXPECT_EQ(set.size(), capacity);
-  for (NodeId id : {NodeId{0}, NodeId{63}, NodeId{64},
-                    static_cast<NodeId>(capacity - 1)}) {
-    if (id >= capacity) continue;
-    EXPECT_EQ(set.next_set_bit_indexed(id), id);
+  std::vector<NodeId> all(static_cast<std::size_t>(capacity));
+  for (NodeId id = 0; id < capacity; ++id) {
+    all[static_cast<std::size_t>(id)] = id;
   }
+  EXPECT_EQ(walk(set), all);
 }
 
 INSTANTIATE_TEST_SUITE_P(NodeCounts, WidthIndexFuzz,
                          ::testing::Values(63, 64, 65, 1021, 16384));
 
-// --- BusyEnds: Fenwick buckets vs the flat sorted vector ----------------------------
+// --- BusyEnds: Fenwick buckets vs a sorted-vector oracle -------------------
 
-/// Drives both implementations through the same operation stream and
-/// compares every order-statistic query after every step.
-void check_busy_ends_agree(const BusyEndsFlat& flat,
-                           const BusyEndsFenwick& fenwick) {
-  ASSERT_EQ(flat.size(), fenwick.size());
-  for (int k = 0; k < flat.size(); ++k) {
-    ASSERT_EQ(flat.kth(k), fenwick.kth(k)) << "rank " << k;
+/// The plain sorted multiset BusyEnds must be indistinguishable from.
+class SortedEnds {
+ public:
+  int size() const { return static_cast<int>(ends_.size()); }
+  void insert(SimTime end) {
+    ends_.insert(std::upper_bound(ends_.begin(), ends_.end(), end), end);
   }
-  ASSERT_EQ(flat.to_sorted_vector(), fenwick.to_sorted_vector());
+  void erase(SimTime end) {
+    const auto it = std::lower_bound(ends_.begin(), ends_.end(), end);
+    ASSERT_TRUE(it != ends_.end() && *it == end) << "oracle lost " << end;
+    ends_.erase(it);
+  }
+  int count_leq(SimTime t) const {
+    return static_cast<int>(
+        std::upper_bound(ends_.begin(), ends_.end(), t) - ends_.begin());
+  }
+  const std::vector<SimTime>& sorted() const { return ends_; }
+
+ private:
+  std::vector<SimTime> ends_;
+};
+
+/// Compares every order-statistic query of `ends` with the oracle.
+void check_busy_ends_agree(const SortedEnds& oracle, const BusyEnds& ends) {
+  ASSERT_EQ(oracle.size(), ends.size());
+  for (int k = 0; k < oracle.size(); ++k) {
+    ASSERT_EQ(oracle.sorted()[static_cast<std::size_t>(k)], ends.kth(k))
+        << "rank " << k;
+  }
+  ASSERT_EQ(oracle.sorted(), ends.to_sorted_vector());
+  std::vector<SimTime> walked;
+  ends.for_each([&walked](SimTime end) { walked.push_back(end); });
+  ASSERT_EQ(oracle.sorted(), walked);
 }
 
 TEST(BusyEndsFuzz, FenwickMatchesFlatUnderRandomChurn) {
   Pcg32 rng(0xbead5, 0xa12);
-  BusyEndsFlat flat;
-  BusyEndsFenwick fenwick;
+  SortedEnds oracle;
+  BusyEnds ends;
   std::vector<SimTime> live;
 
   for (int op = 0; op < 3000; ++op) {
@@ -162,8 +142,8 @@ TEST(BusyEndsFuzz, FenwickMatchesFlatUnderRandomChurn) {
       } else {
         end = kTimeInfinity;
       }
-      flat.insert(end);
-      fenwick.insert(end);
+      oracle.insert(end);
+      ends.insert(end);
       live.push_back(end);
     } else {
       const std::size_t victim = static_cast<std::size_t>(
@@ -171,10 +151,10 @@ TEST(BusyEndsFuzz, FenwickMatchesFlatUnderRandomChurn) {
       const SimTime end = live[victim];
       live[victim] = live.back();
       live.pop_back();
-      flat.erase(end);
-      fenwick.erase(end);
+      oracle.erase(end);
+      ends.erase(end);
     }
-    check_busy_ends_agree(flat, fenwick);
+    check_busy_ends_agree(oracle, ends);
     // count_leq at member values, their neighbours, and random times.
     for (int probe = 0; probe < 4; ++probe) {
       SimTime t = rng.uniform_int(0, 60) * kSecond;
@@ -182,39 +162,36 @@ TEST(BusyEndsFuzz, FenwickMatchesFlatUnderRandomChurn) {
         t = live[static_cast<std::size_t>(
             rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
       }
-      ASSERT_EQ(flat.count_leq(t), fenwick.count_leq(t)) << "t=" << t;
+      ASSERT_EQ(oracle.count_leq(t), ends.count_leq(t)) << "t=" << t;
       if (t > 0) {
-        ASSERT_EQ(flat.count_leq(t - 1), fenwick.count_leq(t - 1));
+        ASSERT_EQ(oracle.count_leq(t - 1), ends.count_leq(t - 1));
       }
     }
-    ASSERT_EQ(flat.count_leq(kTimeInfinity), fenwick.count_leq(kTimeInfinity));
+    ASSERT_EQ(oracle.count_leq(kTimeInfinity), ends.count_leq(kTimeInfinity));
   }
 }
 
 TEST(BusyEndsFuzz, ForEachWalksAscendingInBothImplementations) {
   Pcg32 rng(0xbead6, 0xa13);
-  BusyEndsFlat flat;
-  BusyEndsFenwick fenwick;
+  SortedEnds oracle;
+  BusyEnds ends;
   for (int i = 0; i < 500; ++i) {
     const SimTime end = (i % 7 == 0) ? kTimeInfinity
                                      : rng.uniform_int(0, 100) * kSecond;
-    flat.insert(end);
-    fenwick.insert(end);
+    oracle.insert(end);
+    ends.insert(end);
   }
-  std::vector<SimTime> flat_walk;
-  std::vector<SimTime> fenwick_walk;
-  flat.for_each([&flat_walk](SimTime end) { flat_walk.push_back(end); });
-  fenwick.for_each(
-      [&fenwick_walk](SimTime end) { fenwick_walk.push_back(end); });
-  EXPECT_EQ(flat_walk, fenwick_walk);
-  EXPECT_TRUE(std::is_sorted(fenwick_walk.begin(), fenwick_walk.end()));
+  std::vector<SimTime> walked;
+  ends.for_each([&walked](SimTime end) { walked.push_back(end); });
+  EXPECT_EQ(oracle.sorted(), walked);
+  EXPECT_TRUE(std::is_sorted(walked.begin(), walked.end()));
 }
 
 TEST(BusyEndsFuzz, WindowRebuildIsDeterministic) {
   // Two instances fed the same stream must land on identical window
   // geometry — the rebuild is a pure function of contents + incoming.
-  BusyEndsFenwick a;
-  BusyEndsFenwick b;
+  BusyEnds a;
+  BusyEnds b;
   const SimTime stream[] = {5 * kSecond, 3'000'000 * kSecond, 12 * kSecond,
                             kTimeInfinity, 9'000'000 * kSecond};
   for (SimTime end : stream) {

@@ -336,8 +336,8 @@ void scan_sim_map(const std::vector<Token>& tokens, const SourceFile& file,
 
 /// Per-pass allocation: a std::vector constructed inside a loop body in
 /// decision-path code costs a malloc/free pair per scanned node or gate —
-/// at 16k+ nodes that is the dominant pass cost class core::PassArena
-/// exists to remove (DESIGN.md "Node-width sublinear indexes"). The rule
+/// at 16k+ nodes that is the dominant pass cost class the reused member
+/// buffers remove (DESIGN.md "Node-width sublinear indexes"). The rule
 /// flags `std::vector<...> name` declarations (by value; reference
 /// bindings allocate nothing) whose token lies inside a for/while body.
 /// Loops that run once per pass or sit on genuinely cold paths opt out
@@ -409,8 +409,8 @@ void scan_per_pass_alloc(const std::vector<Token>& tokens,
         {file.path, tokens[i].line, tokens[i].col, "no-per-pass-alloc",
          "std::vector constructed inside a decision-path loop: one "
          "malloc/free per iteration",
-         "bump-allocate from a core::PassArena frame, or hoist the vector "
-         "out of the loop and reuse its capacity"});
+         "hoist the vector out of the loop (or into a member) and reuse "
+         "its capacity"});
   }
 }
 

@@ -24,8 +24,8 @@
 //   no-sim-map               std::map/unordered_map keyed per event in src/sim
 //   no-per-pass-alloc        std::vector constructed inside a loop body in
 //                            decision-path code — one malloc/free pair per
-//                            scanned node/gate (bump-allocate from a
-//                            core::PassArena frame, or hoist and reuse)
+//                            scanned node/gate (hoist it out of the loop
+//                            or into a member and reuse its capacity)
 //
 // A finding on a line is silenced by a trailing
 //   // cosched-lint: allow(<rule>[, <rule>...])    (or allow(*))
