@@ -1,9 +1,11 @@
 #include "obs/diff.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "util/check.hpp"
 #include "util/json.hpp"
 
@@ -103,12 +105,10 @@ void render_scalar(std::ostream& out, const JsonValue& v) {
     case JsonValue::Kind::kNull: out << "null"; break;
     case JsonValue::Kind::kBool: out << (v.as_bool() ? "true" : "false"); break;
     case JsonValue::Kind::kNumber: {
-      const double d = v.as_number();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        out << i;
+      if (const std::optional<std::int64_t> i = v.exact_int()) {
+        out << *i;
       } else {
-        out << d;
+        out << v.as_number();
       }
       break;
     }
@@ -140,25 +140,20 @@ void render_scalar(std::ostream& out, const JsonValue& v) {
 
 /// One record decoded to "type=... t_us=... field=value ...", with type
 /// and t_us hoisted to the front so the eye lands on the event kind and
-/// sim-time first. Unparseable lines render raw.
+/// sim-time first. Lines TraceRecord::parse rejects render raw.
 std::string decode(const std::string& line) {
-  JsonValue v;
-  if (!try_parse(line, &v) || v.kind() != JsonValue::Kind::kObject) {
+  TraceRecord record;
+  try {
+    record = TraceRecord::parse(line);
+  } catch (const Error&) {
     return line;
   }
   std::ostringstream out;
-  const JsonValue* type = v.find("type");
-  if (type != nullptr && type->kind() == JsonValue::Kind::kString) {
-    out << "type=" << type->as_string();
-  }
-  const JsonValue* t = v.find("t_us");
-  if (t != nullptr && t->kind() == JsonValue::Kind::kNumber) {
-    out << " t_us=" << static_cast<std::int64_t>(t->as_number());
-  }
-  for (const std::string& key : v.keys()) {
+  out << "type=" << record.type << " t_us=" << record.t_us;
+  for (const std::string& key : record.fields.keys()) {
     if (key == "type" || key == "t_us") continue;
     out << ' ' << key << '=';
-    render_scalar(out, v.at(key));
+    render_scalar(out, record.fields.at(key));
   }
   return out.str();
 }
@@ -208,7 +203,7 @@ std::string pass_context(const std::vector<std::string>& lines,
     if (type == nullptr || type->kind() != JsonValue::Kind::kString) continue;
     if (type->as_string() == "pass_begin") {
       const JsonValue* p = v.find("pass");
-      pass = p != nullptr ? static_cast<std::int64_t>(p->as_number()) : -1;
+      pass = p != nullptr ? p->exact_int().value_or(-1) : -1;
       begin_at = i;
       inside = true;
     } else if (type->as_string() == "pass_end") {

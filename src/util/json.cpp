@@ -156,6 +156,15 @@ double JsonValue::as_number() const {
   return number_;
 }
 
+std::optional<std::int64_t> JsonValue::exact_int() const {
+  // Range first: casting a double beyond int64 is undefined.
+  if (kind_ != Kind::kNumber || !(std::fabs(number_) < 0x1p63) ||
+      number_ != std::trunc(number_)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(number_);
+}
+
 const std::string& JsonValue::as_string() const {
   COSCHED_CHECK_MSG(kind_ == Kind::kString, "JSON value is not a string");
   return string_;
@@ -285,9 +294,16 @@ class JsonParser {
 
   JsonValue parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (consume_literal("true")) return JsonValue::boolean(true);
@@ -424,6 +440,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< arrays/objects open around pos_
 };
 
 }  // namespace

@@ -6,8 +6,10 @@
 // round-trips its pinned baselines through it.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -67,6 +69,9 @@ class JsonValue {
   double as_number() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
+  /// The number as an int64 when it is integral and in int64's range;
+  /// nullopt otherwise, and for any other kind. Never aborts.
+  std::optional<std::int64_t> exact_int() const;
 
   /// Object access. `at` aborts on a missing key; `find` returns nullptr.
   const JsonValue& at(const std::string& key) const;
@@ -93,9 +98,13 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// Deepest nesting parse_json accepts: the parser and JsonValue's
+/// destructor recurse once per level.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parses a complete JSON document (trailing whitespace allowed, nothing
 /// else). Throws cosched::Error with a line/column location on malformed
-/// input.
+/// input, including nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace cosched

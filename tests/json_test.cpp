@@ -125,6 +125,34 @@ TEST(JsonParser, RejectsMalformedInput) {
   }
 }
 
+TEST(JsonParser, RejectsNestingBeyondTheDepthLimit) {
+  // At the limit the document parses; one level deeper it fails with the
+  // parser's usual error, and 50,000 levels no longer overflow the stack.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), Error);
+  try {
+    parse_json(std::string(50'000, '['));
+    FAIL();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonParser, ExactIntOnlyForIntegralNumbersInRange) {
+  EXPECT_EQ(parse_json("-42").exact_int(), -42);
+  EXPECT_EQ(parse_json("1e15").exact_int(), 1'000'000'000'000'000);
+  EXPECT_FALSE(parse_json("2.5").exact_int());
+  EXPECT_FALSE(parse_json("99999999999999999999999").exact_int());
+  EXPECT_FALSE(parse_json("-9.3e18").exact_int());
+  EXPECT_FALSE(parse_json("\"7\"").exact_int());
+}
+
 TEST(JsonParser, AccessorsCheckKind) {
   const auto v = parse_json(R"({"n":1})");
   EXPECT_DEATH((void)v.as_array(), "not an array");
