@@ -104,6 +104,14 @@ SimTime swf_seconds(const SwfRecord& r, const char* field,
   return seconds * kSecond;
 }
 
+/// Both replay modes need a trace sorted by submit time: streaming pulls
+/// arrivals lazily, and sorting would need the whole file.
+void require_sorted(const workload::Job& job, SimTime previous_submit) {
+  COSCHED_REQUIRE(job.submit_time >= previous_submit,
+                  "SWF trace not sorted by submit time at job "
+                      << job.id << "; replay needs a sorted trace");
+}
+
 }  // namespace
 
 workload::Job job_from_swf(const SwfRecord& r, int app_count) {
@@ -152,8 +160,11 @@ workload::JobList jobs_from_swf(const std::vector<SwfRecord>& records,
                                 int app_count) {
   workload::JobList jobs;
   jobs.reserve(records.size());
+  SimTime last_submit = 0;
   for (const auto& r : records) {
     jobs.push_back(job_from_swf(r, app_count));
+    require_sorted(jobs.back(), last_submit);
+    last_submit = jobs.back().submit_time;
   }
   return jobs;
 }
@@ -189,11 +200,7 @@ std::optional<workload::Job> SwfJobSource::next() {
     return std::nullopt;
   }
   workload::Job job = job_from_swf(*record, app_count_);
-  // Lazy submission scheduling pulls arrivals one at a time, so the trace
-  // must already be in submit order (the SWF convention).
-  COSCHED_REQUIRE(job.submit_time >= last_submit_,
-                  "SWF trace not sorted by submit time at job "
-                      << job.id << "; streaming replay needs a sorted trace");
+  require_sorted(job, last_submit_);
   last_submit_ = job.submit_time;
   return job;
 }

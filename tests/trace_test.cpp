@@ -196,6 +196,33 @@ TEST(Swf, StreamingSourceRequiresSortedTrace) {
   EXPECT_THROW(source.next(), Error);  // lazy submission needs sorted input
 }
 
+TEST(Swf, MaterializedReplayRejectsUnsortedTrace) {
+  // The same trace must fail the materialized replay too, with the
+  // streaming source's message, so no file runs in one mode only.
+  const std::string text =
+      "1 100 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 50 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n";
+  const std::string message =
+      "SWF trace not sorted by submit time at job 2; replay needs a sorted "
+      "trace";
+  std::stringstream batch_in(text);
+  try {
+    (void)jobs_from_swf(read_swf(batch_in), 0);
+    ADD_FAILURE() << "materialized replay accepted an unsorted trace";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+  std::stringstream stream_in(text);
+  SwfJobSource source(stream_in, 0);
+  ASSERT_TRUE(source.next().has_value());
+  try {
+    (void)source.next();
+    ADD_FAILURE() << "streaming replay accepted an unsorted trace";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.what(), message);
+  }
+}
+
 TEST(Swf, JobsFromSwfBasics) {
   SwfRecord r;
   r.job_number = 5;
