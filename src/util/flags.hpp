@@ -1,6 +1,7 @@
 // Minimal command-line flag parsing for examples and bench binaries.
 // Supports "--name=value", "--name value", and bare "--name" booleans.
-// Unrecognized flags raise cosched::Error so typos fail loudly.
+// Flags no getter read are listed by unused(); the CLI warns about them
+// after the run instead of failing it.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +35,7 @@ class Flags {
   const std::vector<std::string>& positional() const { return positional_; }
 
   /// Returns flags that were parsed but never read by a getter — callers
-  /// print these as "unknown flag" diagnostics after wiring all getters.
+  /// print these as "unused flag" warnings after wiring all getters.
   std::vector<std::string> unused() const;
 
  private:
