@@ -67,12 +67,9 @@ class StateAuditor final : public sim::EventObserver {
   void on_event_executed(SimTime when, sim::EventPriority priority,
                          sim::EventId id, const char* label) override;
 
-  std::size_t events_audited() const { return audited_; }
-
  private:
   const SystemView& view_;
   SimTime last_time_ = 0;
-  std::size_t audited_ = 0;
 };
 
 }  // namespace cosched::audit

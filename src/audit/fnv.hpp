@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <string_view>
 
 namespace cosched::audit {
 
@@ -39,12 +38,6 @@ class Fnv64 {
   /// Hashes the exact bit pattern; NaN payloads and signed zeros count as
   /// distinct, which is what a determinism check wants.
   Fnv64& mix_double(double v) { return mix_u64(std::bit_cast<std::uint64_t>(v)); }
-
-  Fnv64& mix_string(std::string_view s) {
-    mix_u64(s.size());
-    for (char c : s) mix_byte(static_cast<std::uint8_t>(c));
-    return *this;
-  }
 
  private:
   std::uint64_t hash_ = kOffsetBasis;

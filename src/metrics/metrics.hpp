@@ -66,7 +66,11 @@ struct ScheduleMetrics {
 };
 
 /// Computes metrics over finished jobs in `jobs` (pending/cancelled jobs are
-/// counted in jobs_total only). `machine_nodes` is the machine size.
+/// counted in jobs_total only). `machine_nodes` is the machine size. A
+/// replay of the records through the fold a run makes as its jobs retire
+/// (metrics/stream_metrics.hpp), so on a run without requeues it equals
+/// the run's own metrics bit for bit; a requeued job's record keeps only
+/// its last attempt, which is all the replay can count.
 ScheduleMetrics compute(const workload::JobList& jobs, int machine_nodes,
                         const EnergyParams& energy = {});
 

@@ -76,8 +76,8 @@ ScheduleMetrics StreamAccumulator::finalize(int machine_nodes,
   ScheduleMetrics m;
   m.jobs_total = static_cast<int>(rows_.size());
 
-  // Replay in submit order: the double folds below then associate exactly
-  // like compute()'s loop over the materialized (submit-ordered) JobList.
+  // Fold in submit order, whatever order the rows were recorded in, so the
+  // double sums below associate the same way for every caller.
   std::vector<double> waits, slowdowns, dilations;
   for (const Row& row : rows_) {
     if (row.kind == 0 || row.kind == 3) continue;

@@ -1,29 +1,25 @@
-// Streaming schedule metrics for retire-mode runs.
+// The one schedule-metric fold.
 //
-// A flat-memory streaming run (Controller retiring finished-job state, see
-// DESIGN "Fleet scale") never materializes the JobList that
-// metrics::compute folds over, so the same quantities must be accumulated
-// as jobs reach their final state. Two pieces cooperate:
+// A run folds its metrics as jobs reach their final state, so no record
+// has to stay alive for them (the controller retires every job, see DESIGN
+// "Fleet scale"). metrics::compute replays a record list through the same
+// two pieces:
 //
 //   StreamAccumulator — one fixed-size row per job, indexed by submit
-//     order. Jobs retire in completion order, but compute() folds doubles
-//     in submit order, and floating-point summation is order-sensitive;
-//     replaying the rows in ascending submit index at finalize() makes
-//     mean/percentile/total fields *bit-identical* to compute() on the
-//     materialized records. The row is O(1) per job (4 doubles + a state
-//     byte), which is the point: metrics stay exact while job records are
-//     freed.
+//     order. Jobs retire in completion order, but floating-point sums are
+//     order-sensitive, so finalize() folds the rows in ascending submit
+//     index: the same order whoever recorded them. The row is O(1) per job
+//     (4 doubles + a state byte).
 //
 //   OccupancyMeter — per-node busy/shared node-time in integer SimTime
-//     ticks, advanced at every allocation and release. compute() instead
-//     sweeps per-node interval lists built from final job records, which
-//     (a) accumulates in doubles per segment and (b) sees only the *last*
-//     attempt of a requeued job. The meter's integer accumulation is exact
-//     and covers every attempt, so busy/shared (and the efficiency /
-//     utilization / energy fields derived from them) agree with compute()
-//     to floating-point reassociation error on requeue-free runs and may
-//     legitimately exceed it under requeues. All other fields are exact;
-//     the differential test pins this contract.
+//     ticks, advanced at every allocation and release. Integer sums do not
+//     depend on order, so a run's meter and a replay of its records agree
+//     exactly whenever they see the same intervals. A run meters every
+//     attempt of a requeued job; its final record keeps only the last one,
+//     so under requeues the run's busy and shared time (and the
+//     efficiency, utilization and energy fields derived from them) exceed
+//     what compute() finds in the records. On every other run the two
+//     agree bit for bit in every field.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +32,8 @@
 namespace cosched::metrics {
 
 /// Exact integer node-occupancy meter. occupy()/vacate() must be called
-/// with the simulation clock monotone (they are driven from controller
-/// event handlers, which guarantee it).
+/// with the simulation clock monotone (controller event handlers and
+/// compute()'s time-ordered replay guarantee it).
 class OccupancyMeter {
  public:
   void reset(int nodes);
@@ -61,9 +57,8 @@ class OccupancyMeter {
   std::int64_t shared_ticks_ = 0;
 };
 
-/// Accumulates per-job final records as they retire and reproduces
-/// metrics::compute() bit-for-bit (except the occupancy-derived fields —
-/// see the header comment) without keeping the records alive.
+/// Accumulates per-job final records as they retire, without keeping the
+/// records alive.
 class StreamAccumulator {
  public:
   /// Records job `job`'s final state. `submit_idx` is the job's position
@@ -71,11 +66,8 @@ class StreamAccumulator {
   /// be recorded exactly once.
   void record(std::size_t submit_idx, const workload::Job& job);
 
-  std::size_t recorded() const { return recorded_; }
-
-  /// Folds the rows in submit order into the same quantities
-  /// metrics::compute() derives, with busy/shared node-time taken from
-  /// `meter`.
+  /// Folds the rows in submit order into the schedule metrics, with
+  /// busy/shared node-time taken from `meter`.
   ScheduleMetrics finalize(int machine_nodes, const OccupancyMeter& meter,
                            const EnergyParams& energy = {}) const;
 

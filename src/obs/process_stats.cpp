@@ -57,16 +57,6 @@ double current_rss_mb() {
   return 0;
 }
 
-void write_process_stats(JsonWriter& w, const char* key,
-                         const ProcessStats& stats) {
-  w.begin_object(key);
-  w.value("max_rss_mb", stats.max_rss_mb);
-  w.value("user_cpu_s", stats.user_cpu_s);
-  w.value("sys_cpu_s", stats.sys_cpu_s);
-  w.value("hardware_concurrency", stats.hardware_concurrency);
-  w.end_object();
-}
-
 std::string process_stats_json(const ProcessStats& stats) {
   JsonWriter w;
   w.begin_object();

@@ -12,10 +12,6 @@
 
 #include <string>
 
-namespace cosched {
-class JsonWriter;
-}
-
 namespace cosched::obs {
 
 struct ProcessStats {
@@ -36,12 +32,8 @@ ProcessStats process_stats();
 double current_rss_mb();
 
 /// {"max_rss_mb":...,"user_cpu_s":...,"sys_cpu_s":...,
-///  "hardware_concurrency":...} under `key` in an already-open object.
-void write_process_stats(JsonWriter& w, const char* key,
-                         const ProcessStats& stats);
-
-/// The same fields as one standalone JSON object, for callers assembling
-/// a document by string concatenation (the bench harness).
+///  "hardware_concurrency":...} as one standalone JSON object, for callers
+/// assembling a document by string concatenation (the bench harness).
 std::string process_stats_json(const ProcessStats& stats);
 
 }  // namespace cosched::obs

@@ -29,9 +29,9 @@ class SnapshotSource {
     int busy_nodes = 0;       ///< nodes with at least one allocation
     std::int64_t pending = 0; ///< queue depth
     std::int64_t running = 0;
-    /// Job records resident in controller memory. In retire mode this is
-    /// the in-flight census (the flat-memory proof: it stays O(machine),
-    /// not O(jobs ever submitted)); otherwise it grows with submissions.
+    /// Jobs in flight: records in the controller's live table. Every run
+    /// retires a job at its final state, so this stays O(machine), not
+    /// O(jobs ever submitted), whether or not retired records are kept.
     std::int64_t resident_jobs = 0;
   };
 

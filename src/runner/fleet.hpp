@@ -11,9 +11,11 @@
 // byte-identical for every --threads value (tests/fleet_test.cpp pins
 // threads {1,2,8} x cells {1,4,16}).
 //
-// Cells may retire finished jobs (SimulationSpec.controller
-// .retire_finished) and pull their workload lazily (FleetSpec::stream),
-// so a fleet of million-job cells runs in flat memory per cell.
+// Every cell retires its jobs as they finish; with
+// SimulationSpec.controller.retire_finished set (cosched fleet and
+// bench_a9_fleet set it) the retired records are dropped, and with
+// FleetSpec::stream the workload is pulled lazily, so a fleet of
+// million-job cells runs in flat memory per cell.
 #pragma once
 
 #include <cstdint>

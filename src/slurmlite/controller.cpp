@@ -20,7 +20,7 @@ Controller::Controller(sim::Engine& engine, const ControllerConfig& config,
       scheduler_(core::make_scheduler(config.strategy,
                                       config.scheduler_options)),
       places_secondaries_(core::is_co_strategy(config.strategy)),
-      retire_(config.retire_finished),
+      keep_records_(!config.retire_finished),
       estimator_(catalog.size()),
       checkpoint_interval_(config.checkpoint_interval),
       queue_policy_(config.queue_policy),
@@ -35,7 +35,7 @@ Controller::Controller(sim::Engine& engine, const ControllerConfig& config,
     end_reschedules_ = &registry_->counter("end_reschedules");
   }
   machine_.set_tracer(tracer_);
-  if (retire_) meter_.reset(config.nodes);
+  meter_.reset(config.nodes);
   COSCHED_REQUIRE(config.snapshot_period >= 0,
                   "snapshot period must be non-negative");
   if (config.snapshot_period > 0 &&
@@ -83,13 +83,13 @@ std::optional<SimTime> Controller::register_job(workload::Job job) {
   const JobId id = job.id;
   const std::size_t idx = submit_count_++;
   submit_index_.emplace(id, idx);
-  if (retire_) {
-    // Side tables grow one sentinel slot per submission; retire_job fills
-    // them when the job reaches a final state.
-    retired_digest_.push_back(0);
-    retired_state_.push_back(0xFF);
-  } else {
-    submit_order_.push_back(id);
+  // Side tables grow one sentinel slot per submission; retire_job fills
+  // them when the job reaches a final state.
+  retired_digest_.push_back(0);
+  retired_state_.push_back(kLive);
+  if (keep_records_) {
+    kept_.emplace_back();
+    kept_.back().id = id;
   }
   if (job.nodes > machine_.node_count()) {
     job.state = workload::JobState::kCancelled;
@@ -117,9 +117,9 @@ void Controller::submit_all(const workload::JobList& jobs) {
   engine_.reserve_events(jobs.size());
   jobs_.reserve(jobs_.size() + jobs.size());
   submit_index_.reserve(submit_index_.size() + jobs.size());
-  if (!retire_) {
-    submit_order_.reserve(submit_order_.size() + jobs.size());
-  }
+  retired_digest_.reserve(retired_digest_.size() + jobs.size());
+  retired_state_.reserve(retired_state_.size() + jobs.size());
+  if (keep_records_) kept_.reserve(kept_.size() + jobs.size());
   for (const auto& job : jobs) submit(job);
 }
 
@@ -154,18 +154,27 @@ void Controller::pump_stream() {
 }
 
 workload::JobList Controller::job_records() const {
-  COSCHED_REQUIRE(!retire_,
-                  "job records were retired as jobs finished "
+  COSCHED_REQUIRE(keep_records_,
+                  "job records were dropped as jobs finished "
                   "(ControllerConfig::retire_finished); use stream_metrics / "
                   "fold_retired_digests instead");
   workload::JobList out;
-  out.reserve(submit_order_.size());
-  for (JobId id : submit_order_) out.push_back(jobs_.at(id));
+  out.reserve(kept_.size());
+  for (std::size_t idx = 0; idx < kept_.size(); ++idx) {
+    out.push_back(retired_state_[idx] == kLive ? jobs_.at(kept_[idx].id)
+                                              : kept_[idx]);
+  }
   return out;
 }
 
+workload::JobList Controller::take_job_records() {
+  COSCHED_CHECK_MSG(retired_total_ == submit_count_,
+                    "records taken before every job retired: "
+                        << retired_total_ << " of " << submit_count_);
+  return std::move(kept_);
+}
+
 void Controller::retire_job(JobId id) {
-  if (!retire_) return;
   const auto it = jobs_.find(id);
   COSCHED_CHECK_MSG(it != jobs_.end(), "retiring unknown job " << id);
   const workload::Job& j = it->second;
@@ -174,41 +183,40 @@ void Controller::retire_job(JobId id) {
                         j.state == workload::JobState::kCancelled,
                     "retiring job " << id << " in non-final state");
   const std::size_t idx = submit_index_.at(id);
-  COSCHED_CHECK_MSG(retired_state_[idx] == 0xFF,
+  COSCHED_CHECK_MSG(retired_state_[idx] == kLive,
                     "job " << id << " retired twice");
   retired_digest_[idx] = audit::job_subdigest(j);
   retired_state_[idx] = static_cast<std::uint8_t>(j.state);
   ++retired_counts_[static_cast<std::size_t>(j.state)];
   ++retired_total_;
   acc_.record(idx, j);
+  resume_progress_.erase(id);  // a requeued job's checkpoint credit
+  if (keep_records_) kept_[idx] = std::move(it->second);
   jobs_.erase(it);
 }
 
 workload::JobState Controller::job_state(JobId id) const {
   const auto it = jobs_.find(id);
   if (it != jobs_.end()) return it->second.state;
-  COSCHED_CHECK_MSG(retire_, "unknown job " << id);
   const auto idx = submit_index_.find(id);
   COSCHED_CHECK_MSG(idx != submit_index_.end(), "unknown job " << id);
   const std::uint8_t state = retired_state_[idx->second];
-  COSCHED_CHECK_MSG(state != 0xFF, "job " << id << " missing but not retired");
+  COSCHED_CHECK_MSG(state != kLive, "job " << id << " missing but not retired");
   return static_cast<workload::JobState>(state);
 }
 
 void Controller::fold_retired_digests(audit::Fnv64& hash) const {
-  COSCHED_CHECK(retire_);
   COSCHED_CHECK_MSG(retired_total_ == submit_count_,
                     "digest fold before every job retired: "
                         << retired_total_ << " of " << submit_count_);
-  // Same bytes as audit::mix_jobs over the materialized records: job
-  // count, then each subdigest in submit order.
+  // Same bytes as audit::mix_jobs over the records: job count, then each
+  // subdigest in submit order.
   hash.mix_u64(submit_count_);
   for (std::uint64_t d : retired_digest_) hash.mix_u64(d);
 }
 
 metrics::ScheduleMetrics Controller::stream_metrics(
     const metrics::EnergyParams& energy) const {
-  COSCHED_CHECK(retire_);
   return acc_.finalize(machine_.node_count(), meter_, energy);
 }
 
@@ -235,7 +243,7 @@ audit::StateCounts Controller::audit_state_counts() const {
 }
 
 std::vector<JobId> Controller::running_ids() const {
-  // Values in submit-index order == submit_order_ filtered to running.
+  // Slots are kept in submit-index order.
   std::vector<JobId> out;
   out.reserve(running_by_submit_.size());
   for (const RunningSlot& slot : running_by_submit_) {
@@ -271,31 +279,22 @@ void Controller::untrack_running(JobId id) {
   COSCHED_CHECK_MSG(
       it != running_by_submit_.end() && it->submit_idx == idx && it->id == id,
       "job " << id << " was not tracked running");
+  // The pending completion event goes with the slot.
+  if (it->has_end) engine_.cancel(it->end_event);
   running_by_submit_.erase(it);
-}
-
-Controller::RunningSlot& Controller::running_slot(JobId id) {
-  const std::size_t idx = submit_index_.at(id);
-  const auto it =
-      std::lower_bound(running_by_submit_.begin(), running_by_submit_.end(),
-                       idx, BySubmitIdx{});
-  COSCHED_CHECK_MSG(
-      it != running_by_submit_.end() && it->submit_idx == idx && it->id == id,
-      "job " << id << " has no running slot");
-  return *it;
-}
-
-void Controller::cancel_end_event(JobId id) {
-  RunningSlot& slot = running_slot(id);
-  if (!slot.has_end) return;
-  engine_.cancel(slot.end_event);
-  slot.has_end = false;
 }
 
 const workload::Job& Controller::job(JobId id) const {
   const auto it = jobs_.find(id);
-  COSCHED_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-  return it->second;
+  return it != jobs_.end() ? it->second : kept_job(id);
+}
+
+const workload::Job& Controller::kept_job(JobId id) const {
+  const auto idx = submit_index_.find(id);
+  COSCHED_CHECK_MSG(idx != submit_index_.end() && idx->second < kept_.size() &&
+                        retired_state_[idx->second] != kLive,
+                    "unknown job " << id);
+  return kept_[idx->second];
 }
 
 workload::Job& Controller::job_mutable(JobId id) {
@@ -316,15 +315,10 @@ SimTime Controller::walltime_end(JobId running) const {
 }
 
 void Controller::on_submit(JobId id) {
-  if (retire_ && jobs_.find(id) == jobs_.end()) {
-    // scancel'd before the submit event fired, and the cancel already
-    // retired the record (mirrors the kCancelled early-return below).
-    return;
-  }
-  workload::Job& j = job_mutable(id);
-  if (j.state == workload::JobState::kCancelled) {
-    return;  // scancel'd before the submit event fired
-  }
+  const auto it = jobs_.find(id);
+  // scancel'd before the submit event fired: the cancel retired the record.
+  if (it == jobs_.end()) return;
+  workload::Job& j = it->second;
   COSCHED_CHECK(j.state == workload::JobState::kPending);
   COSCHED_DEBUG("t=" << format_duration(now()) << " submit job " << id
                      << " (" << j.nodes << " nodes)");
@@ -563,7 +557,7 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
   j.start_time = now();
   j.alloc_kind = kind;
   j.alloc_nodes = nodes;
-  if (retire_) meter_.occupy(nodes, now());
+  meter_.occupy(nodes, now());
   const double wait_s = to_seconds(j.start_time - j.submit_time);
   if (spans_ != nullptr) {
     spans_->on_start(id, now(),
@@ -661,35 +655,17 @@ void Controller::on_complete(JobId id) {
   if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kComplete);
   if (registry_ != nullptr) registry_->counter("completions").inc();
 
-  if (auto it = kill_events_.find(id); it != kill_events_.end()) {
-    engine_.cancel(it->second);
-    kill_events_.erase(it);
-  }
-  // The completion event just fired; dropping the slot discards its stale
-  // handle (nothing left to cancel).
-  untrack_running(id);
-  execution_.finish(id);
-  if (retire_) meter_.vacate(j.alloc_nodes, now());
-  machine_.release(id);
+  const std::optional<AppId> partner = end_attempt(id, j);
   resync_completions();
-  usage_.charge(j.user,
-                static_cast<double>(j.nodes) *
-                    to_seconds(j.end_time - j.start_time),
-                now());
-  if (auto it = partner_.find(id); it != partner_.end()) {
-    estimator_.observe(j.app, it->second, j.observed_dilation);
-    partner_.erase(it);
-  }
+  if (partner) estimator_.observe(j.app, *partner, j.observed_dilation);
   predictor_.observe(j.user, j.walltime_limit, j.end_time - j.start_time);
-  resume_progress_.erase(id);
   settle_dependents(id, /*success=*/true);
   COSCHED_DEBUG("t=" << format_duration(now()) << " complete job " << id);
   request_schedule();
   retire_job(id);
 }
 
-void Controller::on_timeout(JobId id) {
-  workload::Job& j = job_mutable(id);
+void Controller::mark_timeout(JobId id, workload::Job& j) {
   COSCHED_CHECK(j.state == workload::JobState::kRunning);
   j.observed_dilation = execution_.observed_dilation(id, now());
   j.state = workload::JobState::kTimeout;
@@ -698,40 +674,50 @@ void Controller::on_timeout(JobId id) {
   if (tracer_ != nullptr) tracer_->finish("timeout", id, j.observed_dilation);
   if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kTimeout);
   if (registry_ != nullptr) registry_->counter("timeouts").inc();
+}
+
+void Controller::on_timeout(JobId id) {
+  workload::Job& j = job_mutable(id);
+  mark_timeout(id, j);
   COSCHED_WARN("t=" << format_duration(now()) << " job " << id
                     << " hit its walltime limit with "
                     << execution_.remaining_work_s(id, now())
                     << "s of work left");
 
-  cancel_end_event(id);
-  kill_events_.erase(id);
-  untrack_running(id);
-  execution_.finish(id);
-  if (retire_) meter_.vacate(j.alloc_nodes, now());
-  machine_.release(id);
+  const std::optional<AppId> partner = end_attempt(id, j);
   resync_completions();
-  usage_.charge(j.user,
-                static_cast<double>(j.nodes) *
-                    to_seconds(j.end_time - j.start_time),
-                now());
-  if (auto it = partner_.find(id); it != partner_.end()) {
-    // A walltime kill while shared is a strong (bad-pair) signal; the
-    // dilation observed up to the kill is real.
-    estimator_.observe(j.app, it->second, j.observed_dilation);
-    partner_.erase(it);
-  }
+  // A walltime kill while shared is a strong (bad-pair) signal; the
+  // dilation observed up to the kill is real.
+  if (partner) estimator_.observe(j.app, *partner, j.observed_dilation);
   settle_dependents(id, /*success=*/false);
   request_schedule();
   retire_job(id);
 }
 
-void Controller::requeue(JobId id) {
-  workload::Job& j = job_mutable(id);
-  COSCHED_CHECK(j.state == workload::JobState::kRunning);
-  // Charge the machine time the aborted attempt consumed.
+std::optional<AppId> Controller::end_attempt(JobId id,
+                                             const workload::Job& j) {
+  if (const auto it = kill_events_.find(id); it != kill_events_.end()) {
+    engine_.cancel(it->second);
+    kill_events_.erase(it);
+  }
+  untrack_running(id);
+  execution_.finish(id);
+  meter_.vacate(j.alloc_nodes, now());
+  machine_.release(id);
   usage_.charge(j.user,
                 static_cast<double>(j.nodes) * to_seconds(now() - j.start_time),
                 now());
+  std::optional<AppId> partner;
+  if (const auto it = partner_.find(id); it != partner_.end()) {
+    partner = it->second;
+    partner_.erase(it);
+  }
+  return partner;
+}
+
+void Controller::requeue(JobId id) {
+  workload::Job& j = job_mutable(id);
+  COSCHED_CHECK(j.state == workload::JobState::kRunning);
   if (checkpoint_interval_ > 0) {
     // The job checkpointed every checkpoint_interval_ of wall time; it
     // resumes from the last one. Progress at that instant is estimated by
@@ -750,22 +736,15 @@ void Controller::requeue(JobId id) {
       resume += (execution_.progress_s(id, now()) - resume) * fraction;
     }
   }
-  cancel_end_event(id);
-  if (auto it = kill_events_.find(id); it != kill_events_.end()) {
-    engine_.cancel(it->second);
-    kill_events_.erase(it);
-  }
-  untrack_running(id);
-  execution_.finish(id);
-  if (retire_) meter_.vacate(j.alloc_nodes, now());
-  machine_.release(id);
+  // The aborted attempt's machine time is charged; it makes no pair
+  // observation.
+  end_attempt(id, j);
   // Progress is lost; the job starts over from the queue tail.
   j.state = workload::JobState::kPending;
   j.start_time = -1;
   j.end_time = -1;
   j.alloc_nodes.clear();
   j.observed_dilation = 1.0;
-  partner_.erase(id);  // aborted attempt: no pair observation
   if (spans_ != nullptr) spans_->on_requeue(id, now());
   ++j.requeues;
   ++stats_.requeues;
@@ -787,21 +766,11 @@ void Controller::on_node_fail(NodeId node, SimDuration duration) {
     if (requeue_on_failure_) {
       requeue(id);
     } else {
+      // Killed like a walltime timeout, but a node failure says nothing
+      // about the pair, so the estimator gets no observation.
       workload::Job& j = job_mutable(id);
-      j.state = workload::JobState::kTimeout;
-      j.end_time = now();
-      j.observed_dilation = execution_.observed_dilation(id, now());
-      if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kTimeout);
-      ++stats_.timeouts;
-      cancel_end_event(id);
-      if (auto it = kill_events_.find(id); it != kill_events_.end()) {
-        engine_.cancel(it->second);
-        kill_events_.erase(it);
-      }
-      untrack_running(id);
-      execution_.finish(id);
-      if (retire_) meter_.vacate(j.alloc_nodes, now());
-      machine_.release(id);
+      mark_timeout(id, j);
+      end_attempt(id, j);
       settle_dependents(id, /*success=*/false);
       retire_job(id);
     }
@@ -858,21 +827,8 @@ bool Controller::cancel(JobId id) {
       if (spans_ != nullptr) {
         spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
       }
-      cancel_end_event(id);
-      if (auto k = kill_events_.find(id); k != kill_events_.end()) {
-        engine_.cancel(k->second);
-        kill_events_.erase(k);
-      }
-      partner_.erase(id);
-      untrack_running(id);
-      execution_.finish(id);
-      if (retire_) meter_.vacate(j.alloc_nodes, now());
-      machine_.release(id);
+      end_attempt(id, j);  // a cancel makes no pair observation
       resync_completions();
-      usage_.charge(j.user,
-                    static_cast<double>(j.nodes) *
-                        to_seconds(j.end_time - j.start_time),
-                    now());
       settle_dependents(id, /*success=*/false);
       request_schedule();
       retire_job(id);

@@ -88,15 +88,16 @@ struct ControllerConfig {
   /// disables sampling. Needs a tracer or registry to write into.
   SimDuration snapshot_period = 0;
 
-  /// Flat-memory streaming mode: a job's record is *retired* the moment it
-  /// reaches a final state (completed/timeout/cancelled) — its 8-byte
-  /// digest (audit::job_subdigest), final-state byte, and metrics row are
-  /// kept by submit index and the record itself is freed, so resident
-  /// per-job state is O(in-flight), not O(jobs). Decisions, the event
-  /// stream, and the run digest are bit-identical to a non-retiring run
-  /// over the same stream; job_records() is unavailable (metrics come from
-  /// stream_metrics(), the digest from fold_retired_digests()). See DESIGN
-  /// "Fleet scale" for the retirement rules.
+  /// Every run retires a job the moment it reaches a final state
+  /// (completed/timeout/cancelled): its 8-byte digest
+  /// (audit::job_subdigest), final-state byte and metrics row are stored by
+  /// submit index, and the record leaves the live table, so the run's
+  /// metrics (stream_metrics()) and digest (fold_retired_digests()) never
+  /// read a record. This flag only picks what happens to the retired
+  /// record: false keeps it, in submit order, for job_records() and
+  /// SimulationResult::jobs; true drops it, so resident per-job state is
+  /// O(in-flight), not O(jobs). Decisions, the event stream and the digest
+  /// are the same either way. See DESIGN "Fleet scale".
   bool retire_finished = false;
 };
 
@@ -146,25 +147,30 @@ class Controller final : public core::SchedulerHost,
   /// job is unknown or already finished.
   bool cancel(JobId id);
 
-  /// All jobs in submission order with their final lifecycle records.
-  /// Unavailable in retire mode (the records were freed as jobs finished).
+  /// All jobs in submission order: the kept records of retired jobs and
+  /// the live records of the rest. Unavailable when retired records are
+  /// dropped (ControllerConfig::retire_finished).
   workload::JobList job_records() const;
+  /// Moves the kept records out, in submission order, without copying.
+  /// Requires a drained run (every job retired); afterwards job_records()
+  /// and job() no longer see them. Empty when retired records are dropped.
+  workload::JobList take_job_records();
 
-  /// Retire-mode accessors (see ControllerConfig::retire_finished).
-  bool retire_mode() const { return retire_; }
-  /// Jobs whose records are still resident (in-flight). Zero at the end of
-  /// a drained retire-mode run — the flat-memory invariant.
+  /// True when retired records are dropped
+  /// (ControllerConfig::retire_finished).
+  bool retire_mode() const { return !keep_records_; }
+  /// Jobs still in flight (records in the live table). Zero at the end of
+  /// every drained run.
   std::size_t resident_jobs() const { return jobs_.size(); }
-  /// Total jobs ever registered (equals job_records().size() when not
-  /// retiring).
+  /// Total jobs ever registered.
   std::size_t submitted_total() const { return submit_count_; }
   /// Folds the per-job subdigests in submit order — byte-compatible with
-  /// audit::mix_jobs over the materialized records. Requires retire mode
-  /// and a drained run (every job retired).
+  /// audit::mix_jobs over the records. Requires a drained run (every job
+  /// retired).
   void fold_retired_digests(audit::Fnv64& hash) const;
-  /// Schedule metrics accumulated as jobs retired; exact vs
-  /// metrics::compute except the occupancy-derived fields (see
-  /// metrics/stream_metrics.hpp). Requires retire mode.
+  /// Schedule metrics folded as jobs retired, with busy and shared
+  /// node-time from the occupancy meter, which counts every attempt (see
+  /// metrics/stream_metrics.hpp).
   metrics::ScheduleMetrics stream_metrics(
       const metrics::EnergyParams& energy = {}) const;
 
@@ -207,9 +213,7 @@ class Controller final : public core::SchedulerHost,
   }
   const workload::Job& audit_job(JobId id) const override { return job(id); }
   std::size_t audit_queue_length() const override { return pending_.size(); }
-  std::size_t audit_submitted() const override {
-    return jobs_.size() + retired_total_;
-  }
+  std::size_t audit_submitted() const override { return submit_count_; }
 
   // --- obs::SnapshotSource -----------------------------------------------------
   obs::SnapshotSource::Sample snapshot_sample() const override;
@@ -223,6 +227,8 @@ class Controller final : public core::SchedulerHost,
   /// submit event; detaches the stream when exhausted.
   void pump_stream();
   workload::Job& job_mutable(JobId id);
+  /// job()'s miss path: a retired job, readable while its record is kept.
+  const workload::Job& kept_job(JobId id) const;
   void on_submit(JobId id);
   void on_complete(JobId id);
   void on_timeout(JobId id);
@@ -234,9 +240,9 @@ class Controller final : public core::SchedulerHost,
   bool pass_can_early_exit() const;
   void start_common(JobId id, const std::vector<NodeId>& nodes,
                     cluster::AllocationKind kind);
-  /// Tracks `id` as running, ordered by submit index (so iteration
-  /// replays the submit_order_ scan it replaced, byte for byte).
+  /// Tracks `id` as running, ordered by submit index.
   void track_running(JobId id);
+  /// Drops `id`'s running slot and cancels the completion event it holds.
   void untrack_running(JobId id);
   /// Settles running rates against the machine at now() by draining its
   /// dirty-node list into ExecutionModel::refresh_rates, then cancels and
@@ -252,10 +258,23 @@ class Controller final : public core::SchedulerHost,
   void cancel_held(JobId id);
   /// Tears down a running job's events/allocation and requeues it.
   void requeue(JobId id);
+  /// Ends `id`'s running attempt at now(), the one teardown every exit
+  /// from kRunning shares: cancels its walltime-kill and completion
+  /// events (cancelling the event whose handler is running is a no-op),
+  /// untracks it, closes its execution epoch, vacates the occupancy meter,
+  /// releases its nodes, charges the attempt's node-time to fair-share
+  /// usage and drops its co-location entry. Returns that entry's partner
+  /// app, if the attempt shared a node. Callers settle rates afterwards.
+  std::optional<AppId> end_attempt(JobId id, const workload::Job& j);
+  /// Marks a running job killed at now() (walltime or node failure):
+  /// state, end time and dilation, the `timeout` trace record, span and
+  /// counters.
+  void mark_timeout(JobId id, workload::Job& j);
   /// Re-ranks pending_ under the configured queue policy.
   void order_queue();
-  /// Retire mode only (no-op otherwise): records `id`'s final state into
-  /// the digest/state/metrics side tables and frees its job record. Must
+  /// Records `id`'s final state into the digest/state/metrics side tables,
+  /// drops its checkpoint credit, and moves its record out of the live
+  /// table: into kept_ when records are kept, otherwise it is freed. Must
   /// be the LAST action of a final-state transition — after spans, tracer,
   /// registry, and settle_dependents have all seen the record.
   void retire_job(JobId id);
@@ -271,16 +290,20 @@ class Controller final : public core::SchedulerHost,
   /// The strategy may start jobs on secondary slots (a co strategy).
   const bool places_secondaries_;
 
+  /// Live (in-flight) records; a job leaves at retirement.
   std::unordered_map<JobId, workload::Job> jobs_;
-  /// Not grown in retire mode (job_records is unavailable there anyway);
-  /// submit_count_ carries the submission counter in both modes.
-  std::vector<JobId> submit_order_;
   std::size_t submit_count_ = 0;
-  // --- retire-mode side tables (empty unless retire_) --------------------
-  const bool retire_;
+  /// !ControllerConfig::retire_finished.
+  const bool keep_records_;
+  /// Retired records by submit index, grown only when records are kept.
+  /// A slot holds just the job id until retire_job moves the record in.
+  workload::JobList kept_;
+  // --- retirement side tables, one slot per submission --------------------
   /// Per-job audit::job_subdigest by submit index, written at retirement.
   std::vector<std::uint64_t> retired_digest_;
-  /// Final JobState byte by submit index (0xFF while the job is live);
+  /// retired_state_ value of a job not yet retired.
+  static constexpr std::uint8_t kLive = 0xFF;
+  /// Final JobState byte by submit index (kLive while the job is live);
   /// keeps depends_on queries answerable after the record is freed.
   std::vector<std::uint8_t> retired_state_;
   std::size_t retired_total_ = 0;
@@ -321,10 +344,6 @@ class Controller final : public core::SchedulerHost,
     sim::EventId end_event = 0;
   };
   std::vector<RunningSlot> running_by_submit_;
-  /// The tracked slot for a running job (must exist).
-  RunningSlot& running_slot(JobId id);
-  /// Cancels `id`'s pending completion event, if any (slot stays tracked).
-  void cancel_end_event(JobId id);
   /// resync_completions scratch: submit indices of the jobs whose end
   /// moved, sorted so EventIds are handed out in submit order.
   std::vector<std::size_t> moved_idx_;

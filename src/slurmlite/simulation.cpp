@@ -61,40 +61,21 @@ SimulationResult run_with(const SimulationSpec& spec,
   SimulationResult result;
   result.stats = controller.stats();
   result.events_executed = engine.executed();
-  if (controller.retire_mode()) {
-    // Records were freed as jobs finished; metrics come from the stream
-    // accumulator and the digest from the stored per-job subdigests —
-    // bit-identical to the materialized fold (mix_jobs) below.
-    result.metrics = controller.stream_metrics();
-    if (hasher) {
-      controller.fold_retired_digests(hasher->hash());
-      result.event_stream_hash = hasher->digest();
-    }
-    // Post-run invariants: machine drained, every record retired (a job
-    // still resident never reached a final state).
-    controller.machine_state().check_invariants();
-    COSCHED_CHECK_MSG(controller.resident_jobs() == 0,
-                      controller.resident_jobs()
-                          << " of " << controller.submitted_total()
-                          << " jobs never finished");
-    return result;
-  }
-  result.jobs = controller.job_records();
-  result.metrics =
-      metrics::compute(result.jobs, controller.machine_state().node_count());
+  // Post-run invariants: machine drained, every job retired (a job still
+  // resident never reached a final state).
+  controller.machine_state().check_invariants();
+  COSCHED_CHECK_MSG(controller.resident_jobs() == 0,
+                    controller.resident_jobs()
+                        << " of " << controller.submitted_total()
+                        << " jobs never finished");
+  // Metrics come from the stream accumulator and the occupancy meter, the
+  // digest from the stored per-job subdigests.
+  result.metrics = controller.stream_metrics();
   if (hasher) {
-    audit::mix_jobs(hasher->hash(), result.jobs);
+    controller.fold_retired_digests(hasher->hash());
     result.event_stream_hash = hasher->digest();
   }
-
-  // Post-run invariants: machine drained, every job reached a final state.
-  controller.machine_state().check_invariants();
-  for (const auto& job : result.jobs) {
-    COSCHED_CHECK_MSG(job.state != workload::JobState::kPending &&
-                          job.state != workload::JobState::kRunning,
-                      "job " << job.id << " never finished: "
-                             << workload::to_string(job.state));
-  }
+  result.jobs = controller.take_job_records();
   return result;
 }
 

@@ -33,13 +33,15 @@ struct SimulationSpec {
 };
 
 struct SimulationResult {
-  /// Final lifecycle records; EMPTY when spec.controller.retire_finished
-  /// was set (records are freed as jobs finish — metrics and the digest
-  /// come from the controller's streaming side tables instead, and are
-  /// bit-identical to the materialized fold except the occupancy-derived
-  /// metric fields, see metrics/stream_metrics.hpp).
+  /// Final lifecycle records in submission order, moved out of the
+  /// controller after the drain; EMPTY when spec.controller.retire_finished
+  /// was set (retired records are dropped). Nothing else in the result is
+  /// computed from them.
   workload::JobList jobs;
-  metrics::ScheduleMetrics metrics;  ///< computed over `jobs`
+  /// Folded as jobs retired (Controller::stream_metrics): busy and shared
+  /// node-time count every attempt, so under requeues they exceed what
+  /// metrics::compute(jobs) sees in the final records.
+  metrics::ScheduleMetrics metrics;
   ControllerStats stats;
   std::size_t events_executed = 0;
   /// FNV-1a digest of the executed event stream folded with the final job

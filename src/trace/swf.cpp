@@ -1,5 +1,7 @@
 #include "trace/swf.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -8,6 +10,44 @@
 #include "util/log.hpp"
 
 namespace cosched::trace {
+
+namespace {
+
+/// The 18 SWF fields in column order, as error messages name them.
+constexpr const char* kFieldNames[] = {
+    "job number",       "submit time",          "wait time",
+    "run time",         "processors used",      "average CPU time",
+    "memory used",      "processors requested", "requested time",
+    "memory requested", "status",               "user id",
+    "group id",         "application number",   "queue number",
+    "partition number", "preceding job",        "think time"};
+
+/// True when `token` reads as a whole number that is not finite: NaN,
+/// infinity, or a value past the range of a double.
+bool non_finite(const std::string& token) {
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  return *end == '\0' && !std::isfinite(value);
+}
+
+/// A field that is not a finite number makes a record unreadable, not
+/// short: rejects the line, naming the job and the field.
+void reject_non_finite(const std::string& line, std::size_t line_no) {
+  std::istringstream tokens(line);
+  std::string job;
+  std::string token;
+  for (const char* field : kFieldNames) {
+    if (!(tokens >> token)) return;
+    COSCHED_REQUIRE(!non_finite(token),
+                    "SWF " << (job.empty() ? "line " + std::to_string(line_no)
+                                           : "job " + job)
+                           << " " << field << " is " << token
+                           << ", not a finite number");
+    if (job.empty()) job = token;
+  }
+}
+
+}  // namespace
 
 std::optional<SwfRecord> SwfReader::next() {
   while (std::getline(in_, line_)) {
@@ -22,7 +62,10 @@ std::optional<SwfRecord> SwfReader::next() {
     }
     std::istringstream fields(line_);
     SwfRecord r;
-    if (!(fields >> r.job_number)) continue;  // blank or comment-only line
+    if (!(fields >> r.job_number)) {
+      reject_non_finite(line_, line_no_);
+      continue;  // blank or comment-only line
+    }
     const bool ok =
         static_cast<bool>(fields >> r.submit_time >> r.wait_time >>
                           r.run_time >> r.procs_used >> r.avg_cpu_time >>
@@ -32,6 +75,7 @@ std::optional<SwfRecord> SwfReader::next() {
                           r.queue_number >> r.partition_number >>
                           r.preceding_job >> r.think_time);
     if (!ok) {
+      reject_non_finite(line_, line_no_);
       // Archive traces do contain short/garbled lines; skip and count them
       // instead of abandoning the replay. First offender logs its line.
       if (++malformed_ == 1) {

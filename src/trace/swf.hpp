@@ -46,7 +46,9 @@ struct SwfRecord {
 /// stream, so an arbitrarily long trace never materializes. Comment/blank
 /// lines are skipped. Malformed/short data lines (archives do contain
 /// them) are skipped and counted — the first one logs a warning with its
-/// line number; callers report the total via malformed_lines().
+/// line number; callers report the total via malformed_lines(). A field
+/// that reads as a number but not a finite one (NaN, infinity) is no
+/// short line: next() throws Error naming the job and the field.
 class SwfReader {
  public:
   /// `in` must outlive the reader.

@@ -143,15 +143,16 @@ TEST(BoundedSlowdown, NeverBelowOne) {
 
 // --- Occupancy sweep oracle ---------------------------------------------------
 //
-// The per-node std::map sweep metrics::compute ran before it moved to one
-// flat event array, kept as the oracle for busy and shared node-seconds.
-// Both sort each node's events and sweep nodes in ascending order, so the
-// float sums must agree bit for bit, and with them every figure derived
-// from them.
+// An independent per-node std::map sweep, kept as the oracle for busy and
+// shared node-seconds. It sums integer ticks, as compute()'s replay
+// through the occupancy meter does, so the totals must agree bit for bit,
+// and with them every figure derived from them.
 
 struct ReferenceOccupancy {
-  double busy_s = 0;
-  double shared_s = 0;
+  SimTime busy = 0;
+  SimTime shared = 0;
+  double busy_s() const { return to_seconds(busy); }
+  double shared_s() const { return to_seconds(shared); }
 };
 
 ReferenceOccupancy reference_occupancy(const workload::JobList& jobs) {
@@ -170,8 +171,8 @@ ReferenceOccupancy reference_occupancy(const workload::JobList& jobs) {
     int depth = 0;
     SimTime prev = 0;
     for (const auto& [time, delta] : evs) {
-      if (depth >= 1) totals.busy_s += to_seconds(time - prev);
-      if (depth >= 2) totals.shared_s += to_seconds(time - prev);
+      if (depth >= 1) totals.busy += time - prev;
+      if (depth >= 2) totals.shared += time - prev;
       depth += delta;
       prev = time;
     }
@@ -225,22 +226,23 @@ TEST(OccupancyOracle, FlatSweepMatchesMapSweep) {
     const ScheduleMetrics m = compute(jobs, nodes, energy);
     if (m.jobs_completed + m.jobs_timeout == 0) continue;
     const ReferenceOccupancy ref = reference_occupancy(jobs);
-    shared_trials += ref.shared_s > 0 ? 1 : 0;
+    shared_trials += ref.shared > 0 ? 1 : 0;
     const double machine_time = m.makespan_s * nodes;
-    EXPECT_EQ(m.busy_node_s, ref.busy_s) << "trial " << trial;
-    EXPECT_EQ(m.shared_node_s, ref.shared_s) << "trial " << trial;
+    EXPECT_EQ(m.busy_node_s, ref.busy_s()) << "trial " << trial;
+    EXPECT_EQ(m.shared_node_s, ref.shared_s()) << "trial " << trial;
     EXPECT_EQ(m.scheduling_efficiency,
               machine_time > 0 ? m.total_work_node_s / machine_time : 0)
         << "trial " << trial;
     EXPECT_EQ(m.computational_efficiency,
-              ref.busy_s > 0 ? m.total_work_node_s / ref.busy_s : 0)
+              ref.busy > 0 ? m.total_work_node_s / ref.busy_s() : 0)
         << "trial " << trial;
-    EXPECT_EQ(m.utilization, machine_time > 0 ? ref.busy_s / machine_time : 0)
+    EXPECT_EQ(m.utilization,
+              machine_time > 0 ? ref.busy_s() / machine_time : 0)
         << "trial " << trial;
     const double joules =
-        energy.idle_w * std::max(0.0, machine_time - ref.busy_s) +
-        energy.primary_w * (ref.busy_s - ref.shared_s) +
-        energy.shared_w * ref.shared_s;
+        energy.idle_w * std::max(0.0, machine_time - ref.busy_s()) +
+        energy.primary_w * (ref.busy_s() - ref.shared_s()) +
+        energy.shared_w * ref.shared_s();
     EXPECT_EQ(m.energy_kwh, joules / 3.6e6) << "trial " << trial;
   }
   EXPECT_GT(shared_trials, 100) << "fixture rarely shares a node";

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/priority.hpp"
+#include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "slurmlite/simulation.hpp"
 #include "test_support.hpp"
 #include "workload/campaign.hpp"
@@ -241,6 +246,45 @@ TEST(FailureInjection, KillPolicyMarksTimeout) {
   const auto r = controller.job_records()[0];
   EXPECT_EQ(r.state, workload::JobState::kTimeout);
   EXPECT_EQ(r.end_time, 5 * kMinute);
+  // The killed attempt's node-time is charged to fair-share usage.
+  EXPECT_GT(controller.usage().usage(r.user, r.end_time), 0.0);
+}
+
+// A node-failure kill ends a job like a walltime kill: every start gets an
+// end record, and the `timeout` trace records, the registry counter and
+// the stats agree.
+TEST(FailureInjection, KillPolicyWritesTheTimeoutRecord) {
+  obs::Tracer tracer;
+  obs::Registry registry;
+  slurmlite::SimulationSpec spec;
+  spec.controller.nodes = 16;
+  spec.controller.strategy = core::StrategyKind::kCoBackfill;
+  spec.controller.requeue_on_failure = false;
+  for (int i = 0; i < 6; ++i) {
+    spec.controller.failures.push_back({.node = static_cast<NodeId>(i * 2),
+                                        .at = (i + 1) * kHour,
+                                        .duration = 2 * kHour});
+  }
+  spec.controller.tracer = &tracer;
+  spec.controller.registry = &registry;
+  spec.workload = workload::trinity_stream(16, 250, 0.9);
+  spec.seed = 7;
+  const auto result = slurmlite::run_simulation(spec, trinity());
+
+  const auto count = [&](const std::string& type) {
+    const std::string key = "\"type\":\"" + type + "\"";
+    return static_cast<std::size_t>(
+        std::count_if(tracer.lines().begin(), tracer.lines().end(),
+                      [&](const std::string& line) {
+                        return line.find(key) != std::string::npos;
+                      }));
+  };
+  ASSERT_GT(result.stats.timeouts, 0u);
+  EXPECT_EQ(result.stats.requeues, 0u);
+  EXPECT_EQ(registry.counter("timeouts").value(), result.stats.timeouts);
+  EXPECT_EQ(count("timeout"), result.stats.timeouts);
+  EXPECT_EQ(count("complete"), result.stats.completions);
+  EXPECT_EQ(count("start"), count("complete") + count("timeout"));
 }
 
 TEST(FailureInjection, UnaffectedJobsKeepRunning) {

@@ -1,20 +1,19 @@
-// Flat-memory retire mode (ControllerConfig::retire_finished)
-// differentials: a retiring run frees every job record the moment the job
-// reaches a final state, yet must reproduce the non-retiring run's event
-// stream, digest, and metrics bit-for-bit over the same ingestion mode.
-// The occupancy-derived metric fields are the one documented exception
-// (tick-exact meter vs double segment sweep, see metrics/
-// stream_metrics.hpp) and are compared with a tight relative tolerance.
+// Record-lifetime differentials. Every run retires each job at its final
+// state; ControllerConfig::retire_finished only picks whether the retired
+// record is kept or dropped. Both must give the same event stream, digest
+// and metrics bit for bit over the same ingestion mode, and on every run
+// without requeues metrics::compute's replay of the kept records must
+// reproduce the run's metrics bit for bit (metrics/stream_metrics.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "audit/determinism.hpp"
 #include "core/scheduler.hpp"
+#include "metrics/metrics.hpp"
 #include "sim/engine.hpp"
 #include "slurmlite/simulation.hpp"
 #include "test_support.hpp"
@@ -45,49 +44,30 @@ slurmlite::SimulationResult run_streaming(slurmlite::SimulationSpec spec,
   return slurmlite::run_stream(spec, trinity(), source);
 }
 
-void expect_near_rel(double actual, double expected, double rel) {
-  EXPECT_NEAR(actual, expected, std::abs(expected) * rel + 1e-12);
-}
-
-// The full metrics comparison: exact fields bitwise, occupancy-derived
-// fields near-equal (the documented tolerance). Pass compare_occupancy =
-// false for runs with requeues: the streaming OccupancyMeter integrates
-// every attempt a job makes (including runs a node failure killed),
-// while metrics::compute only sees the final record's start..end window,
-// so the two legitimately diverge once work is lost to failures.
-void expect_metrics_match(const metrics::ScheduleMetrics& retired,
-                          const metrics::ScheduleMetrics& base,
-                          bool compare_occupancy = true) {
-  EXPECT_EQ(retired.jobs_total, base.jobs_total);
-  EXPECT_EQ(retired.jobs_completed, base.jobs_completed);
-  EXPECT_EQ(retired.jobs_timeout, base.jobs_timeout);
-  EXPECT_EQ(retired.makespan_s, base.makespan_s);
-  EXPECT_EQ(retired.total_work_node_s, base.total_work_node_s);
-  EXPECT_EQ(retired.lost_work_node_s, base.lost_work_node_s);
-  EXPECT_EQ(retired.mean_wait_s, base.mean_wait_s);
-  EXPECT_EQ(retired.p95_wait_s, base.p95_wait_s);
-  EXPECT_EQ(retired.max_wait_s, base.max_wait_s);
-  EXPECT_EQ(retired.mean_bounded_slowdown, base.mean_bounded_slowdown);
-  EXPECT_EQ(retired.p95_bounded_slowdown, base.p95_bounded_slowdown);
-  EXPECT_EQ(retired.mean_dilation, base.mean_dilation);
-  EXPECT_EQ(retired.scheduling_efficiency, base.scheduling_efficiency);
-  EXPECT_EQ(retired.throughput_jobs_per_h, base.throughput_jobs_per_h);
-  if (!compare_occupancy) {
-    // Requeues happened: the meter saw strictly more node-time than the
-    // final records record. Pin the direction instead of the value.
-    EXPECT_GE(retired.busy_node_s, base.busy_node_s);
-    return;
-  }
-  // Occupancy-derived: OccupancyMeter integrates busy/shared node-time in
-  // integer ticks; metrics::compute sweeps per-job double segments.
-  expect_near_rel(retired.busy_node_s, base.busy_node_s, 1e-6);
-  expect_near_rel(retired.shared_node_s, base.shared_node_s, 1e-6);
-  expect_near_rel(retired.computational_efficiency,
-                  base.computational_efficiency, 1e-6);
-  expect_near_rel(retired.utilization, base.utilization, 1e-6);
-  expect_near_rel(retired.energy_kwh, base.energy_kwh, 1e-6);
-  expect_near_rel(retired.work_node_h_per_kwh, base.work_node_h_per_kwh,
-                  1e-6);
+// Every metric field, bit for bit.
+void expect_metrics_match(const metrics::ScheduleMetrics& actual,
+                          const metrics::ScheduleMetrics& expected) {
+  EXPECT_EQ(actual.jobs_total, expected.jobs_total);
+  EXPECT_EQ(actual.jobs_completed, expected.jobs_completed);
+  EXPECT_EQ(actual.jobs_timeout, expected.jobs_timeout);
+  EXPECT_EQ(actual.makespan_s, expected.makespan_s);
+  EXPECT_EQ(actual.total_work_node_s, expected.total_work_node_s);
+  EXPECT_EQ(actual.busy_node_s, expected.busy_node_s);
+  EXPECT_EQ(actual.lost_work_node_s, expected.lost_work_node_s);
+  EXPECT_EQ(actual.scheduling_efficiency, expected.scheduling_efficiency);
+  EXPECT_EQ(actual.computational_efficiency,
+            expected.computational_efficiency);
+  EXPECT_EQ(actual.utilization, expected.utilization);
+  EXPECT_EQ(actual.mean_wait_s, expected.mean_wait_s);
+  EXPECT_EQ(actual.p95_wait_s, expected.p95_wait_s);
+  EXPECT_EQ(actual.max_wait_s, expected.max_wait_s);
+  EXPECT_EQ(actual.mean_bounded_slowdown, expected.mean_bounded_slowdown);
+  EXPECT_EQ(actual.p95_bounded_slowdown, expected.p95_bounded_slowdown);
+  EXPECT_EQ(actual.mean_dilation, expected.mean_dilation);
+  EXPECT_EQ(actual.shared_node_s, expected.shared_node_s);
+  EXPECT_EQ(actual.throughput_jobs_per_h, expected.throughput_jobs_per_h);
+  EXPECT_EQ(actual.energy_kwh, expected.energy_kwh);
+  EXPECT_EQ(actual.work_node_h_per_kwh, expected.work_node_h_per_kwh);
 }
 
 // --- Streaming differential, every strategy ---------------------------------
@@ -107,10 +87,16 @@ TEST_P(RetireParity, StreamingRetireReproducesTheRun) {
   ASSERT_NE(base.event_stream_hash, 0u);
   EXPECT_EQ(retired.event_stream_hash, base.event_stream_hash);
   EXPECT_EQ(retired.events_executed, base.events_executed);
-  // The flat-memory contract: no records survive a retiring run.
+  // The flat-memory contract: a run that drops retired records returns
+  // none.
   EXPECT_TRUE(retired.jobs.empty());
   EXPECT_EQ(base.jobs.size(), 400u);
   expect_metrics_match(retired.metrics, base.metrics);
+  // The one fold: replaying the kept records through metrics::compute
+  // reproduces the run's own metrics.
+  ASSERT_EQ(base.stats.requeues, 0u);
+  expect_metrics_match(metrics::compute(base.jobs, spec.controller.nodes),
+                       base.metrics);
   EXPECT_EQ(retired.stats.scheduler_passes, base.stats.scheduler_passes);
   EXPECT_EQ(retired.stats.primary_starts, base.stats.primary_starts);
   EXPECT_EQ(retired.stats.secondary_starts, base.stats.secondary_starts);
@@ -129,22 +115,27 @@ INSTANTIATE_TEST_SUITE_P(AllStrategies, RetireParity,
 
 // --- Failure / requeue paths -------------------------------------------------
 
+// Six scripted node failures on a 16-node cobackfill machine; under the
+// requeue policy jobs resume from 30-minute checkpoints.
+slurmlite::SimulationSpec failure_spec(bool requeue) {
+  slurmlite::SimulationSpec spec;
+  spec.controller.nodes = 16;
+  spec.controller.strategy = core::StrategyKind::kCoBackfill;
+  spec.controller.requeue_on_failure = requeue;
+  spec.controller.checkpoint_interval = requeue ? 30 * kMinute : 0;
+  for (int i = 0; i < 6; ++i) {
+    spec.controller.failures.push_back({.node = static_cast<NodeId>(i * 2),
+                                        .at = (i + 1) * kHour,
+                                        .duration = 2 * kHour});
+  }
+  spec.workload = workload::trinity_stream(16, 250, 0.9);
+  spec.seed = 7;
+  return spec;
+}
+
 TEST(RetireMode, FailureRequeuesMatchUnderBothPolicies) {
   for (const bool requeue : {true, false}) {
-    slurmlite::SimulationSpec spec;
-    spec.controller.nodes = 16;
-    spec.controller.strategy = core::StrategyKind::kCoBackfill;
-    spec.controller.requeue_on_failure = requeue;
-    spec.controller.checkpoint_interval = requeue ? 30 * kMinute : 0;
-    for (int i = 0; i < 6; ++i) {
-      spec.controller.failures.push_back(
-          {.node = static_cast<NodeId>(i * 2),
-           .at = (i + 1) * kHour,
-           .duration = 2 * kHour});
-    }
-    spec.workload = workload::trinity_stream(16, 250, 0.9);
-    spec.seed = 7;
-
+    const slurmlite::SimulationSpec spec = failure_spec(requeue);
     const auto base = run_streaming(spec, /*retire=*/false);
     const auto retired = run_streaming(spec, /*retire=*/true);
 
@@ -154,20 +145,41 @@ TEST(RetireMode, FailureRequeuesMatchUnderBothPolicies) {
     EXPECT_EQ(retired.stats.requeues, base.stats.requeues);
     EXPECT_EQ(retired.stats.node_failures, base.stats.node_failures);
     EXPECT_EQ(retired.stats.timeouts, base.stats.timeouts);
-    // Under the requeue policy jobs lose work to failures, so occupancy
-    // is meter-vs-final-record and only the direction is pinned.
-    expect_metrics_match(retired.metrics, base.metrics,
-                         /*compare_occupancy=*/base.stats.requeues == 0);
+    expect_metrics_match(retired.metrics, base.metrics);
+    if (base.stats.requeues == 0) {
+      expect_metrics_match(
+          metrics::compute(base.jobs, spec.controller.nodes), base.metrics);
+    }
   }
+}
+
+// The run meters every attempt a job makes, the ones a node failure cut
+// short included, whether its records are kept or dropped. A requeued
+// job's final record keeps only its last attempt, so replaying the records
+// finds less busy node-time than the run spent.
+TEST(RetireMode, FailureRunMetersEveryAttempt) {
+  slurmlite::SimulationSpec spec = failure_spec(/*requeue=*/true);
+  const auto kept = slurmlite::run_simulation(spec, trinity());
+  spec.controller.retire_finished = true;
+  const auto dropped = slurmlite::run_simulation(spec, trinity());
+
+  ASSERT_GT(kept.stats.requeues, 0u);
+  ASSERT_EQ(kept.jobs.size(), 250u);
+  const auto replay = metrics::compute(kept.jobs, spec.controller.nodes);
+  EXPECT_GT(kept.metrics.busy_node_s, replay.busy_node_s);
+  EXPECT_LT(kept.metrics.computational_efficiency,
+            replay.computational_efficiency);
+  EXPECT_TRUE(dropped.jobs.empty());
+  expect_metrics_match(dropped.metrics, kept.metrics);
 }
 
 // --- Dependency chains and cascade cancellation ------------------------------
 
-// Hand-built list exercising every final state a retiring controller can
-// free a record from: completion, walltime timeout, and dependency-cascade
-// cancellation (the parent times out, so its "afterok" dependent — still
-// held — is cancelled without ever running). Both sides use run_jobs
-// (materialized ingestion), so event ids and digests are comparable.
+// Hand-built list exercising every final state a record retires from:
+// completion, walltime timeout, and dependency-cascade cancellation (the
+// parent times out, so its "afterok" dependent — still held — is cancelled
+// without ever running). Both sides use run_jobs (materialized ingestion),
+// so event ids and digests are comparable.
 TEST(RetireMode, DependencyCascadeMatchesMaterializedRun) {
   workload::JobList jobs;
   // 1: completes normally.
@@ -280,6 +292,9 @@ TEST(RetireMode, LargeStreamMatchesMaterializedMetrics) {
   EXPECT_TRUE(retired.jobs.empty());
   EXPECT_EQ(materialized.jobs.size(), 20000u);
   expect_metrics_match(retired.metrics, materialized.metrics);
+  expect_metrics_match(
+      metrics::compute(materialized.jobs, spec.controller.nodes),
+      materialized.metrics);
   EXPECT_EQ(retired.stats.completions, materialized.stats.completions);
   EXPECT_EQ(retired.stats.timeouts, materialized.stats.timeouts);
 }

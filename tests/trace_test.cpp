@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <string>
 
 #include "trace/gantt.hpp"
 #include "trace/swf.hpp"
+#include "util/check.hpp"
 #include "workload/generator.hpp"
 
 namespace cosched::trace {
@@ -80,6 +82,56 @@ TEST(Swf, SkipsTruncatedLinesWithCount) {
   EXPECT_EQ(records[1].job_number, 3);
   EXPECT_EQ(records[2].job_number, 5);
   EXPECT_EQ(malformed, 2u);
+}
+
+// A NaN or infinite field is no short line: the replay must stop with an
+// error naming the job and the field, not skip the job and run on.
+void expect_swf_error(const std::function<void()>& read,
+                      const std::string& expected) {
+  try {
+    read();
+    ADD_FAILURE() << "no error; expected: " << expected;
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
+}
+
+TEST(Swf, MaterializedReadRejectsNonFiniteFields) {
+  expect_swf_error(
+      [] {
+        std::stringstream in(
+            "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+            "2 5 -1 nan 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+        read_swf(in);
+      },
+      "SWF job 2 run time is nan, not a finite number");
+  expect_swf_error(
+      [] {
+        std::stringstream in(
+            "3 5 -1 100 4 Infinity -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+        read_swf(in);
+      },
+      "SWF job 3 average CPU time is Infinity, not a finite number");
+  expect_swf_error(
+      [] {
+        std::stringstream in(
+            "; header\n"
+            "-nan 5 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+        read_swf(in);
+      },
+      "SWF line 2 job number is -nan, not a finite number");
+}
+
+TEST(Swf, StreamingSourceRejectsNonFiniteFields) {
+  std::stringstream in(
+      "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 5 -1 100 4 -1 -1 4 inf -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "3 10 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+  SwfJobSource source(in, 0);
+  ASSERT_TRUE(source.next().has_value());
+  expect_swf_error([&] { source.next(); },
+                   "SWF job 2 requested time is inf, not a finite number");
+  EXPECT_EQ(source.malformed_lines(), 0u);
 }
 
 TEST(Swf, StreamingSourceMatchesMaterialized) {

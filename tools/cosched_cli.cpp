@@ -5,13 +5,13 @@
 //                    [--stream-load RHO] [--seed N] [--stream]
 //                    [--sacct] [--gantt out.csv] [--swf-out out.swf]
 //                    [--json out.json] [--trace out.jsonl]
-//                    [--metrics-json out.json] [--profile] [--retire]
+//                    [--metrics-json out.json] [--profile]
 //                    # --stream pulls jobs lazily (SWF or generator), so a
 //                    # 100k-job trace never materializes; decisions are
 //                    # identical to the default materialized path
-//                    # --retire frees each job record as it finishes:
-//                    # with --stream, memory is flat in trace length
-//                    # (metrics/digest come from streaming side tables)
+//                    # every job retires as it finishes; its record is
+//                    # kept only for --sacct/--gantt/--swf-out/--json, so
+//                    # otherwise memory is O(in-flight jobs)
 //   cosched compare  --config FILE [--jobs N] [--seed N] [--csv]
 //                    [--threads N]   # parallel fan-out; output is
 //                                    # identical for every N
@@ -33,8 +33,7 @@
 //   cosched fleet    [--cells N] [--threads N] [--nodes N] [--jobs N]
 //                    [--seed N] [--strategy NAME] [--config FILE]
 //                    [--campaign trinity|membound|compute]
-//                    [--stream-load RHO] [--stream] [--retire]
-//                    [--out report.json]
+//                    [--stream-load RHO] [--stream] [--out report.json]
 //                    # N independent clusters ("cells") of one
 //                    # configuration, seeds derived per cell, fanned over
 //                    # a thread pool, merged in fixed cell order. The
@@ -260,20 +259,14 @@ int cmd_sim(const Flags& flags) {
   slurmlite::SimulationSpec spec;
   spec.controller = config;
   spec.seed = seed;
-  // --retire: free each job's record when it reaches a final state, so
-  // resident memory stays O(in-flight jobs) at million-job scale. Metrics
-  // and digests come from the streaming side tables (bit-identical except
-  // the occupancy-derived fields, see metrics/stream_metrics.hpp). The
-  // per-job outputs need the full record list and are rejected.
-  spec.controller.retire_finished = flags.get_bool("retire", false);
-  if (spec.controller.retire_finished &&
-      (flags.get_bool("sacct", false) ||
-       !flags.get_string("gantt", "").empty() ||
-       !flags.get_string("swf-out", "").empty())) {
-    std::cerr << "--retire frees job records as jobs finish; "
-                 "--sacct/--gantt/--swf-out need them\n";
-    return 2;
-  }
+  // Retired records are kept only for the per-job outputs; without them
+  // resident memory stays O(in-flight jobs) at million-job scale.
+  const bool sacct = flags.get_bool("sacct", false);
+  const std::string gantt_path = flags.get_string("gantt", "");
+  const std::string swf_path = flags.get_string("swf-out", "");
+  const std::string json_path = flags.get_string("json", "");
+  spec.controller.retire_finished = !sacct && gantt_path.empty() &&
+                                    swf_path.empty() && json_path.empty();
   if (!trace_path.empty()) spec.controller.tracer = &tracer;
   if (!metrics_path.empty()) spec.controller.registry = &registry;
   if (!spans_path.empty()) spec.controller.spans = &spans;
@@ -287,29 +280,25 @@ int cmd_sim(const Flags& flags) {
   if (!trace_path.empty()) tracer.manifest(manifest);
   const auto result = run_from_flags(flags, spec, catalog, seed, stream);
 
-  if (flags.get_bool("sacct", false)) {
-    std::cout << slurmlite::sacct(result.jobs, catalog) << "\n";
-  }
+  if (sacct) std::cout << slurmlite::sacct(result.jobs, catalog) << "\n";
   std::cout << slurmlite::metrics_summary(result.metrics);
   std::cout << "strategy: " << core::to_string(config.strategy)
             << "   co-allocated starts: " << result.stats.secondary_starts
             << "   scheduler passes: " << result.stats.scheduler_passes
             << "\n";
 
-  if (const std::string path = flags.get_string("gantt", "");
-      !path.empty()) {
-    trace::write_gantt_csv_file(path, result.jobs, catalog);
-    std::cout << "wrote gantt to " << path << "\n";
+  if (!gantt_path.empty()) {
+    trace::write_gantt_csv_file(gantt_path, result.jobs, catalog);
+    std::cout << "wrote gantt to " << gantt_path << "\n";
   }
-  if (const std::string path = flags.get_string("swf-out", "");
-      !path.empty()) {
-    trace::write_swf_file(path, trace::jobs_to_swf(result.jobs),
+  if (!swf_path.empty()) {
+    trace::write_swf_file(swf_path, trace::jobs_to_swf(result.jobs),
                           "cosched sim output");
-    std::cout << "wrote SWF to " << path << "\n";
+    std::cout << "wrote SWF to " << swf_path << "\n";
   }
-  if (const std::string path = flags.get_string("json", ""); !path.empty()) {
-    slurmlite::write_json_file(path, result, catalog, &manifest);
-    std::cout << "wrote JSON to " << path << "\n";
+  if (!json_path.empty()) {
+    slurmlite::write_json_file(json_path, result, catalog, &manifest);
+    std::cout << "wrote JSON to " << json_path << "\n";
   }
   if (!trace_path.empty()) {
     trace_out.close();
@@ -357,6 +346,8 @@ int cmd_report(const Flags& flags) {
   spec.controller.registry = &registry;
   spec.controller.spans = &spans;
   spec.controller.snapshot_period = flags.get_seconds("snapshot-every", 0.0);
+  // Nothing the report prints reads a job record.
+  spec.controller.retire_finished = true;
   const obs::RunManifest manifest =
       manifest_from(flags, "report", config, seed, stream);
   const auto result = run_from_flags(flags, spec, catalog, seed, stream);
@@ -410,7 +401,8 @@ int cmd_fleet(const Flags& flags) {
   fleet.base_seed = seed;
   fleet.stream = flags.get_bool("stream", false);
   fleet.cell.controller = config;
-  fleet.cell.controller.retire_finished = flags.get_bool("retire", false);
+  // Nothing a fleet prints reads a job record.
+  fleet.cell.controller.retire_finished = true;
   fleet.cell.workload = campaign_params(flags, config.nodes);
 
   obs::RunManifest manifest =
@@ -736,8 +728,12 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
-    for (const auto& unknown : flags.unused()) {
-      std::cerr << "warning: unused flag --" << unknown << "\n";
+    // A usage error (exit 2) stays one line: the subcommand returned
+    // before reading its flags, so they are not unused, just unread.
+    if (rc != 2) {
+      for (const auto& unknown : flags.unused()) {
+        std::cerr << "warning: unused flag --" << unknown << "\n";
+      }
     }
     return rc;
   } catch (const cosched::Error& e) {
