@@ -1,6 +1,8 @@
 #include "core/pairing.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 #include <span>
 
 #include "util/check.hpp"
@@ -98,6 +100,40 @@ void CoAllocator::refresh_table(SchedulerHost& host) const {
     begin = end;
   }
   table_gen_ = machine.generation();
+}
+
+bool CoAllocator::held(const cluster::Machine& machine, SimTime now,
+                       AppId app, int nodes, SimTime end) const {
+  if (held_machine_ != machine.instance_id() ||
+      held_gen_ != machine.generation() || now < held_now_) {
+    held_machine_ = machine.instance_id();
+    held_gen_ = machine.generation();
+    for (std::vector<Held>& front : held_) front.clear();
+  }
+  held_now_ = now;
+  const auto a = static_cast<std::size_t>(app);
+  if (a >= held_.size()) return false;
+  // Of the rejections wanting no more than `nodes`, the widest ends first.
+  const std::vector<Held>& front = held_[a];
+  const auto wider = std::upper_bound(
+      front.begin(), front.end(), nodes,
+      [](int n, const Held& h) { return n < h.nodes; });
+  return wider != front.begin() && std::prev(wider)->end <= end;
+}
+
+void CoAllocator::hold(AppId app, int nodes, SimTime end) const {
+  const auto a = static_cast<std::size_t>(app);
+  if (a >= held_.size()) held_.resize(a + 1);
+  // No entry dominates the new one, so it dominates exactly the entries
+  // wanting at least as many nodes that end no earlier: a run of the
+  // front starting at its slot.
+  std::vector<Held>& front = held_[a];
+  const auto first = std::lower_bound(
+      front.begin(), front.end(), nodes,
+      [](const Held& h, int n) { return h.nodes < n; });
+  const auto last = std::find_if(first, front.end(),
+                                 [&](const Held& h) { return h.end < end; });
+  front.insert(front.erase(first, last), Held{nodes, end});
 }
 
 CoAllocator::Verdict CoAllocator::verdict(SchedulerHost& host, int sig,
@@ -219,6 +255,21 @@ std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
     SchedulerHost& host, JobId candidate, bool respect_deadline) const {
   obs::Tracer* tracer = host.tracer();
   const workload::Job& cand = host.job(candidate);
+  const SimTime now = host.now();
+  const SimTime walltime_end = now + cand.walltime_limit;
+  const int wanted = cand.nodes;
+  // Held rejections (DESIGN.md): observed calls walk so every record and
+  // sample keeps its bytes, and learned verdicts can move while the
+  // machine stands still. Without the fence E plays no part, so such a
+  // rejection holds for any end.
+  const bool memo = tracer == nullptr && host.registry() == nullptr &&
+                    options_.gate_mode != GateMode::kLearned;
+  const SimTime held_end = respect_deadline
+                               ? walltime_end
+                               : std::numeric_limits<SimTime>::min();
+  if (memo && held(host.machine(), now, cand.app, wanted, held_end)) {
+    return std::nullopt;
+  }
   const apps::AppModel& cand_app = host.app_of(candidate);
   if (!cand.shareable || !cand_app.shareable) {
     if (tracer != nullptr) {
@@ -230,8 +281,6 @@ std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
     return std::nullopt;
   }
   refresh_table(host);
-  const SimTime walltime_end = host.now() + cand.walltime_limit;
-  const int wanted = cand.nodes;
   // Every free-secondary node is accounted for exactly as a node-by-node
   // scan would: fenced rows first (a resident that would end before the
   // candidate), then the group's verdict for the rest.
@@ -277,6 +326,9 @@ std::optional<std::vector<NodeId>> CoAllocator::select_nodes(
                           obs::ReasonCode::kInsufficientNodes, scanned,
                           admissible, nullptr, rejects);
     }
+    // Exactly `admissible` rows clear this end, so every candidate of the
+    // app wanting more is rejected until the machine moves.
+    if (memo) hold(cand.app, admissible + 1, held_end);
     return std::nullopt;
   }
   ranked_.clear();

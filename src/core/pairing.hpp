@@ -22,6 +22,15 @@
 // keeps its bytes (tests/co_scan_fuzz_test.cpp checks this against that
 // scan). When the machine changes, only the nodes stamped since the last
 // refresh are filed again and merged into the rows that were kept.
+//
+// On a fixed table an app's admissible count can only fall as the
+// candidate's walltime end E grows (more rows meet the fence). So a walk
+// that rejects a candidate of an app because only k rows clear its end E
+// also answers every later candidate of that app wanting more than k
+// nodes with an E no earlier. Such held rejections answer without walking
+// the table until the machine changes (DESIGN.md "Held rejections").
+// Learned verdicts and observed calls (tracer or registry attached)
+// always walk.
 #pragma once
 
 #include <compare>
@@ -95,12 +104,28 @@ class CoAllocator {
     double score;
   };
 
+  /// A held rejection: fewer than `nodes` rows are admissible to the app
+  /// at walltime end `end` (the lowest SimTime when no fence applied).
+  struct Held {
+    int nodes;
+    SimTime end;
+  };
+
   /// Brings rows_/groups_ up to the machine by re-filing the nodes stamped
   /// since the last refresh (every node on a new machine instance).
   void refresh_table(SchedulerHost& host) const;
 
   /// The node's row, read from the host; interns its signature.
   Row file_row(SchedulerHost& host, NodeId node) const;
+
+  /// True when a held rejection of `app` with no more than `nodes` and an
+  /// end no later than `end` answers this call. Drops every held
+  /// rejection first if the machine changed or the clock ran backwards.
+  bool held(const cluster::Machine& machine, SimTime now, AppId app,
+            int nodes, SimTime end) const;
+
+  /// Files on the app's front a rejection no held one answers.
+  void hold(AppId app, int nodes, SimTime end) const;
 
   /// The verdict for signature `sig` and the candidate's app: memoized
   /// for the oracle and class-rule gates, worked out afresh in learned
@@ -130,6 +155,13 @@ class CoAllocator {
   mutable std::vector<Signature> sigs_;
   mutable std::vector<Row> rows_;
   mutable std::vector<Group> groups_;
+  /// The machine state and clock the held rejections were filed under.
+  mutable std::uint64_t held_machine_ = 0;
+  mutable std::uint64_t held_gen_ = 0;
+  mutable SimTime held_now_ = 0;
+  /// Held rejections by candidate AppId, each app's a Pareto front:
+  /// ascending by nodes, strictly descending by end.
+  mutable std::vector<std::vector<Held>> held_;
   // Per-call scratch.
   mutable Signature sig_scratch_;
   mutable std::vector<Row> merged_;  ///< refresh_table's merge target

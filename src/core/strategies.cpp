@@ -7,14 +7,6 @@
 
 namespace cosched::core {
 
-namespace {
-
-bool still_pending(SchedulerHost& host, JobId id) {
-  return host.job(id).state == workload::JobState::kPending;
-}
-
-}  // namespace
-
 // --- FCFS --------------------------------------------------------------------
 
 void FcfsScheduler::schedule(SchedulerHost& host) {
@@ -156,9 +148,10 @@ void ConservativeBackfillScheduler::schedule(SchedulerHost& host) {
 // --- Co-allocation-aware conservative backfill (this repo's extension) -----------------
 
 void CoConservativeScheduler::schedule(SchedulerHost& host) {
+  // Leftovers are pending: the pass started none of them, and this loop
+  // starts each at most once.
   const std::vector<JobId>& leftover = conservative_pass(host);
   for (JobId id : leftover) {
-    if (!still_pending(host, id)) continue;
     if (auto nodes = co_.select_nodes(host, id, /*respect_deadline=*/true)) {
       host.start_secondary(id, *nodes);
     }
@@ -186,9 +179,10 @@ void CoBackfillScheduler::schedule(SchedulerHost& host) {
   // within its hosts' walltime bounds.
   const std::vector<JobId>& leftover = easy_pass(host);
 
-  // Phase 3: co-allocation pass over jobs still pending, queue order.
+  // Phase 3: co-allocation pass over the leftovers, queue order. They are
+  // all pending: phases 1-2 started none of them, and this loop starts
+  // each at most once.
   for (JobId id : leftover) {
-    if (!still_pending(host, id)) continue;
     if (auto nodes = co_.select_nodes(host, id, /*respect_deadline=*/true)) {
       host.start_secondary(id, *nodes);
     }

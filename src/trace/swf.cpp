@@ -60,27 +60,25 @@ std::optional<SwfRecord> SwfReader::next() {
     if (auto pos = line_.find(';'); pos != std::string::npos) {
       line_.resize(pos);
     }
-    std::istringstream fields(line_);
-    SwfRecord r;
-    if (!(fields >> r.job_number)) {
-      reject_non_finite(line_, line_no_);
+    if (line_.find_first_not_of(" \t\n\v\f\r") == std::string::npos) {
       continue;  // blank or comment-only line
     }
-    const bool ok =
-        static_cast<bool>(fields >> r.submit_time >> r.wait_time >>
-                          r.run_time >> r.procs_used >> r.avg_cpu_time >>
-                          r.memory_used >> r.procs_requested >>
-                          r.time_requested >> r.memory_requested >> r.status >>
-                          r.user_id >> r.group_id >> r.app_number >>
-                          r.queue_number >> r.partition_number >>
-                          r.preceding_job >> r.think_time);
+    std::istringstream fields(line_);
+    SwfRecord r;
+    const bool ok = static_cast<bool>(
+        fields >> r.job_number >> r.submit_time >> r.wait_time >>
+        r.run_time >> r.procs_used >> r.avg_cpu_time >> r.memory_used >>
+        r.procs_requested >> r.time_requested >> r.memory_requested >>
+        r.status >> r.user_id >> r.group_id >> r.app_number >>
+        r.queue_number >> r.partition_number >> r.preceding_job >>
+        r.think_time);
     if (!ok) {
       reject_non_finite(line_, line_no_);
       // Archive traces do contain short/garbled lines; skip and count them
       // instead of abandoning the replay. First offender logs its line.
       if (++malformed_ == 1) {
         COSCHED_WARN("SWF line " << line_no_
-                                 << ": expected 18 fields, got fewer; "
+                                 << ": expected 18 numeric fields; "
                                     "skipping (further skips counted)");
       }
       continue;

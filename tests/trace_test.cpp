@@ -198,14 +198,31 @@ TEST(Swf, StreamingSourceSurfacesSkipsAsRegistryCounter) {
   workload::JobList streamed;
   while (auto job = source.next()) streamed.push_back(*job);
   ASSERT_EQ(streamed.size(), 2u);
-  // The "garbled text" line never yields a job number, so only the
-  // truncated record counts as malformed — and the total surfaces as the
-  // swf_malformed_lines counter at end of stream.
-  EXPECT_EQ(source.malformed_lines(), 1u);
-  EXPECT_EQ(registry.counter("swf_malformed_lines").value(), 1u);
+  // The truncated record and the "garbled text" line (no job number) both
+  // count as malformed, and the total surfaces as the swf_malformed_lines
+  // counter at end of stream.
+  EXPECT_EQ(source.malformed_lines(), 2u);
+  EXPECT_EQ(registry.counter("swf_malformed_lines").value(), 2u);
   // Draining past the end must not double-count.
   EXPECT_FALSE(source.next().has_value());
-  EXPECT_EQ(registry.counter("swf_malformed_lines").value(), 1u);
+  EXPECT_EQ(registry.counter("swf_malformed_lines").value(), 2u);
+}
+
+// A data line whose first field is not a number is a malformed line, not
+// a blank one: skipped and counted like a short line.
+TEST(Swf, MaterializedReadCountsNonNumericFirstField) {
+  std::stringstream in(
+      "; header\n"
+      "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "x2 5 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "   ; indented comment\n"
+      "3 10 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+  std::size_t malformed = 0;
+  const auto records = read_swf(in, &malformed);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].job_number, 1);
+  EXPECT_EQ(records[1].job_number, 3);
+  EXPECT_EQ(malformed, 1u);
 }
 
 TEST(Swf, ReaderCountsBytesRead) {
