@@ -9,8 +9,10 @@
 // in the scheduler, workload generation, seed derivation, or the event
 // engine — fails the suite. GoldenCoDecisions (below) additionally pins
 // the bytes of the co-allocation decision trace in
-// tests/golden/co_decisions.json, and GoldenEasyTraces those of the EASY
-// family's whole decision trace in tests/golden/easy_traces.json.
+// tests/golden/co_decisions.json, GoldenEasyTraces those of the EASY
+// family's whole decision trace in tests/golden/easy_traces.json, and
+// GoldenLifecycle the controller's failure, checkpoint, dependency and
+// cancel paths in tests/golden/lifecycle.json.
 //
 // Refreshing the baselines after an INTENDED behaviour change:
 //
@@ -31,12 +33,17 @@
 #include <string>
 #include <vector>
 
+#include "audit/auditor.hpp"
+#include "audit/determinism.hpp"
 #include "audit/fnv.hpp"
 #include "obs/trace.hpp"
 #include "runner/runner.hpp"
+#include "sim/engine.hpp"
+#include "slurmlite/controller.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "workload/campaign.hpp"
+#include "workload/generator.hpp"
 
 namespace cosched {
 namespace {
@@ -503,6 +510,277 @@ TEST(GoldenEasyTraces, TraceDigestsMatchPinnedBaseline) {
         << "trace_fnv drifted in " << cell
         << " — EASY decisions or their explanation changed; if intended, "
            "refresh with --update-golden";
+  }
+}
+
+// --- Job lifecycle paths -----------------------------------------------------
+//
+// The goldens above replay plain campaigns, so none of their jobs is
+// requeued, held or cancelled. This one drives the controller's other
+// paths: cobackfill on 16 nodes at ThreadsPerCore 2 and 4 under the oracle
+// and learned gates, with four scripted node failures that kill their
+// jobs, requeue them from scratch, or requeue them from 30-minute
+// checkpoints; afterok chains whose parents complete, time out or are
+// cancelled; and cancels of pending, held and running jobs fired from
+// scheduled events. Each cell pins the event-stream digest, the events
+// executed, every ControllerStats count, how many cancels of each kind
+// landed, and every metric.
+
+constexpr int kLifeNodes = 16;
+constexpr int kLifeJobs = 200;
+constexpr double kLifeLoad = 1.5;
+
+struct LifecycleCell {
+  int threads_per_core;
+  core::GateMode gate;
+  bool requeue;
+  SimDuration checkpoint;
+};
+
+std::vector<LifecycleCell> lifecycle_cells() {
+  std::vector<LifecycleCell> cells;
+  for (const int tpc : {2, 4}) {
+    for (const core::GateMode gate :
+         {core::GateMode::kOracle, core::GateMode::kLearned}) {
+      cells.push_back({tpc, gate, /*requeue=*/false, 0});
+      cells.push_back({tpc, gate, /*requeue=*/true, 0});
+      cells.push_back({tpc, gate, /*requeue=*/true, 30 * kMinute});
+    }
+  }
+  return cells;
+}
+
+std::string lifecycle_cell_name(const LifecycleCell& cell) {
+  std::string name = "tpc" + std::to_string(cell.threads_per_core) + "/" +
+                     core::to_string(cell.gate) + "/";
+  if (!cell.requeue) return name + "kill";
+  return name + "requeue/ckpt" + std::to_string(cell.checkpoint / kMinute) +
+         "m";
+}
+
+/// What a cell must reach for its golden row to pin anything.
+struct LifecycleCoverage {
+  bool child_released = false;   ///< a child ran after its parent completed
+  bool child_cascaded = false;   ///< a child was cancelled with its parent
+};
+
+enum CancelKind { kCancelPending, kCancelHeld, kCancelRunning, kCancelKinds };
+
+/// Runs one cell and returns its golden row.
+std::string lifecycle_cell_json(const LifecycleCell& cell,
+                                LifecycleCoverage& coverage) {
+  static const apps::Catalog catalog = apps::Catalog::trinity();
+  slurmlite::ControllerConfig config;
+  config.nodes = kLifeNodes;
+  config.node_config.smt_per_core = cell.threads_per_core;
+  config.strategy = core::StrategyKind::kCoBackfill;
+  config.scheduler_options.co.gate_mode = cell.gate;
+  config.requeue_on_failure = cell.requeue;
+  config.checkpoint_interval = cell.checkpoint;
+  for (int i = 0; i < 4; ++i) {
+    config.failures.push_back({.node = static_cast<NodeId>(2 + 4 * i),
+                               .at = (2 + 3 * i) * 30 * kMinute,
+                               .duration = kHour});
+  }
+
+  // Every tenth job waits (afterok) on the job two places before it. The
+  // parents take turns: left alone, made to outrun their walltime, or
+  // cancelled ten minutes after they are submitted.
+  const workload::Generator generator(
+      workload::trinity_stream(kLifeNodes, kLifeJobs, kLifeLoad), catalog);
+  Pcg32 rng(derive_seed(kBaseSeed, 0), /*stream=*/0x5eed);
+  workload::JobList jobs = generator.generate(rng);
+  std::vector<JobId> children;
+  std::vector<std::pair<SimTime, JobId>> parent_cancels;
+  for (std::size_t i = 10; i < jobs.size(); i += 10) {
+    workload::Job& parent = jobs[i - 2];
+    jobs[i].depends_on = parent.id;
+    children.push_back(jobs[i].id);
+    if ((i / 10) % 3 == 1) {
+      parent.base_runtime = 2 * parent.walltime_limit;
+    } else if ((i / 10) % 3 == 2) {
+      parent_cancels.emplace_back(parent.submit_time + 10 * kMinute,
+                                  parent.id);
+    }
+  }
+
+  sim::Engine engine;
+  slurmlite::Controller controller(engine, config, catalog);
+  audit::StateAuditor auditor(controller);
+  engine.add_observer(&auditor);
+  audit::EventStreamHasher hasher;
+  engine.add_observer(&hasher);
+  controller.submit_all(jobs);
+
+  for (const auto& [at, parent] : parent_cancels) {
+    engine.schedule_at(at, sim::EventPriority::kTimer, "test_cancel",
+                       [&controller, parent = parent] {
+                         (void)controller.cancel(parent);
+                       });
+  }
+  // The other cancels pick their victim when they fire: the queue's tail,
+  // the first held child, or the first running job in submit order.
+  std::int64_t landed[kCancelKinds] = {};
+  for (int k = 1; k <= 12; ++k) {
+    const int kind = k % kCancelKinds;
+    engine.schedule_at(
+        k * 45 * kMinute, sim::EventPriority::kTimer, "test_cancel",
+        [&controller, &children, &landed, kind] {
+          JobId victim = kInvalidJob;
+          if (kind == kCancelPending) {
+            const std::vector<JobId> pending = controller.pending_ids();
+            if (!pending.empty()) victim = pending.back();
+          } else if (kind == kCancelHeld) {
+            for (JobId child : children) {
+              if (controller.job(child).state == workload::JobState::kHeld) {
+                victim = child;
+                break;
+              }
+            }
+          } else {
+            const std::vector<JobId> running = controller.running_ids();
+            if (!running.empty()) victim = running.front();
+          }
+          if (victim != kInvalidJob && controller.cancel(victim)) {
+            ++landed[kind];
+          }
+        });
+  }
+  engine.run();
+
+  controller.fold_retired_digests(hasher.hash());
+  const workload::JobList records = controller.job_records();
+  for (JobId child : children) {
+    const workload::Job& c = records[static_cast<std::size_t>(child - 1)];
+    const workload::Job& p =
+        records[static_cast<std::size_t>(c.depends_on - 1)];
+    coverage.child_released |= p.state == workload::JobState::kCompleted &&
+                               c.start_time >= p.end_time;
+    coverage.child_cascaded |= p.state != workload::JobState::kCompleted &&
+                               c.state == workload::JobState::kCancelled;
+  }
+
+  const slurmlite::ControllerStats& s = controller.stats();
+  const metrics::ScheduleMetrics m = controller.stream_metrics();
+  const auto count = [](std::size_t n) { return static_cast<std::int64_t>(n); };
+  JsonWriter w;
+  w.begin_object()
+      .value("cell", lifecycle_cell_name(cell))
+      .value("digest", hex64(hasher.digest()))
+      .value("events", count(engine.executed()));
+  w.begin_object("stats")
+      .value("scheduler_passes", count(s.scheduler_passes))
+      .value("primary_starts", count(s.primary_starts))
+      .value("secondary_starts", count(s.secondary_starts))
+      .value("completions", count(s.completions))
+      .value("timeouts", count(s.timeouts))
+      .value("requeues", count(s.requeues))
+      .value("node_failures", count(s.node_failures))
+      .value("dependency_cancellations", count(s.dependency_cancellations))
+      .end_object();
+  w.begin_object("cancels")
+      .value("pending", landed[kCancelPending])
+      .value("held", landed[kCancelHeld])
+      .value("running", landed[kCancelRunning])
+      .end_object();
+  w.begin_object("metrics")
+      .value("jobs_total", m.jobs_total)
+      .value("jobs_completed", m.jobs_completed)
+      .value("jobs_timeout", m.jobs_timeout)
+      .value("makespan_s", m.makespan_s)
+      .value("total_work_node_s", m.total_work_node_s)
+      .value("busy_node_s", m.busy_node_s)
+      .value("lost_work_node_s", m.lost_work_node_s)
+      .value("scheduling_efficiency", m.scheduling_efficiency)
+      .value("computational_efficiency", m.computational_efficiency)
+      .value("utilization", m.utilization)
+      .value("mean_wait_s", m.mean_wait_s)
+      .value("p95_wait_s", m.p95_wait_s)
+      .value("max_wait_s", m.max_wait_s)
+      .value("mean_bounded_slowdown", m.mean_bounded_slowdown)
+      .value("p95_bounded_slowdown", m.p95_bounded_slowdown)
+      .value("mean_dilation", m.mean_dilation)
+      .value("shared_node_s", m.shared_node_s)
+      .value("throughput_jobs_per_h", m.throughput_jobs_per_h)
+      .value("energy_kwh", m.energy_kwh)
+      .value("work_node_h_per_kwh", m.work_node_h_per_kwh)
+      .end_object();
+  w.end_object();
+  return w.str();
+}
+
+TEST(GoldenLifecycle, DigestsStatsAndMetricsMatchPinnedBaseline) {
+  const std::string path = std::string(COSCHED_GOLDEN_DIR) + "/lifecycle.json";
+  const std::vector<LifecycleCell> cells = lifecycle_cells();
+  std::vector<std::string> got;
+  for (const LifecycleCell& cell : cells) {
+    LifecycleCoverage coverage;
+    got.push_back(lifecycle_cell_json(cell, coverage));
+    // The fixture must reach what the golden claims to pin, in every cell.
+    const std::string name = lifecycle_cell_name(cell);
+    const JsonValue row = parse_json(got.back());
+    const JsonValue& stats = row.at("stats");
+    EXPECT_GT(stats.at("secondary_starts").as_number(), 0) << name;
+    EXPECT_EQ(stats.at("node_failures").as_number(), 4) << name;
+    if (cell.requeue) {
+      EXPECT_GT(stats.at("requeues").as_number(), 0) << name;
+    } else {
+      EXPECT_EQ(stats.at("requeues").as_number(), 0) << name;
+    }
+    EXPECT_GT(stats.at("dependency_cancellations").as_number(), 0) << name;
+    for (const char* kind : {"pending", "held", "running"}) {
+      EXPECT_GT(row.at("cancels").at(kind).as_number(), 0)
+          << name << " never cancelled a " << kind << " job";
+    }
+    EXPECT_TRUE(coverage.child_released) << name;
+    EXPECT_TRUE(coverage.child_cascaded) << name;
+  }
+  // A 30-minute checkpoint credit must move the run it restores into.
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (cells[i].checkpoint == 0) continue;
+    EXPECT_NE(parse_json(got[i]).at("digest").as_string(),
+              parse_json(got[i - 1]).at("digest").as_string())
+        << lifecycle_cell_name(cells[i]);
+  }
+
+  if (update_mode()) {
+    write_golden_rows(path, got);
+    SUCCEED() << "rewrote " << path;
+    return;
+  }
+
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good())
+      << "missing golden baseline " << path
+      << " — run cosched_tests --update-golden to create it";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const JsonValue golden = parse_json(buf.str());
+  const auto& want = golden.as_array();
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const JsonValue g = parse_json(got[i]);
+    const std::string cell = g.at("cell").as_string();
+    ASSERT_EQ(want[i].at("cell").as_string(), cell);
+    EXPECT_EQ(want[i].at("digest").as_string(), g.at("digest").as_string())
+        << "event-stream digest drifted in " << cell
+        << " — a lifecycle decision changed; if intended, refresh with "
+           "--update-golden";
+    EXPECT_EQ(want[i].at("events").as_number(), g.at("events").as_number())
+        << cell;
+    for (const char* group : {"stats", "cancels"}) {
+      ASSERT_EQ(want[i].at(group).keys(), g.at(group).keys()) << cell;
+      for (const std::string& key : g.at(group).keys()) {
+        EXPECT_EQ(want[i].at(group).at(key).as_number(),
+                  g.at(group).at(key).as_number())
+            << group << "." << key << " drifted in " << cell;
+      }
+    }
+    ASSERT_EQ(want[i].at("metrics").keys(), g.at("metrics").keys()) << cell;
+    for (const std::string& key : g.at("metrics").keys()) {
+      expect_near_rel(want[i].at("metrics").at(key).as_number(),
+                      g.at("metrics").at(key).as_number(), key.c_str(), i);
+    }
   }
 }
 
