@@ -163,7 +163,7 @@ class Controller final : public core::SchedulerHost,
   /// every drained run.
   std::size_t resident_jobs() const { return jobs_.size(); }
   /// Total jobs ever registered.
-  std::size_t submitted_total() const { return submit_count_; }
+  std::size_t submitted_total() const { return submit_index_.size(); }
   /// Folds the per-job subdigests in submit order — byte-compatible with
   /// audit::mix_jobs over the records. Requires a drained run (every job
   /// retired).
@@ -213,12 +213,38 @@ class Controller final : public core::SchedulerHost,
   }
   const workload::Job& audit_job(JobId id) const override { return job(id); }
   std::size_t audit_queue_length() const override { return pending_.size(); }
-  std::size_t audit_submitted() const override { return submit_count_; }
+  std::size_t audit_submitted() const override { return submitted_total(); }
 
   // --- obs::SnapshotSource -----------------------------------------------------
   obs::SnapshotSource::Sample snapshot_sample() const override;
 
  private:
+  /// Partner value of a job whose running attempt shared no node.
+  static constexpr AppId kNoPartner = -1;
+  /// Everything the controller keeps about one in-flight job, from
+  /// registration until retire_job moves the record out.
+  struct Live {
+    Live(workload::Job j, std::size_t idx)
+        : job(std::move(j)), submit_idx(idx) {}
+
+    workload::Job job;
+    std::size_t submit_idx;
+    /// The running attempt's walltime-kill and completion events,
+    /// sim::kInvalidEvent while none is scheduled. resync_completions
+    /// places the completion event once the start's rates are settled.
+    sim::EventId kill_event = sim::kInvalidEvent;
+    sim::EventId end_event = sim::kInvalidEvent;
+    /// Checkpointed progress (exclusive-seconds) a requeued job resumes
+    /// from.
+    double resume_progress = 0;
+    /// Jobs held (afterok) on this one, in the order they were held.
+    std::vector<JobId> held;
+    /// The running attempt's dominant co-location partner app, observed
+    /// into the pair estimator when the attempt ends; kNoPartner if it
+    /// shared no node.
+    AppId partner = kNoPartner;
+  };
+
   /// Validation + registration shared by submit/submit_stream. Returns the
   /// time the submit event should fire at, or nullopt when the job was
   /// rejected on entry (recorded as kCancelled, no event needed).
@@ -226,7 +252,7 @@ class Controller final : public core::SchedulerHost,
   /// Pulls arrivals from stream_ until one registers, scheduling its
   /// submit event; detaches the stream when exhausted.
   void pump_stream();
-  workload::Job& job_mutable(JobId id);
+  Live& entry(JobId id);
   /// job()'s miss path: a retired job, readable while its record is kept.
   const workload::Job& kept_job(JobId id) const;
   void on_submit(JobId id);
@@ -240,10 +266,6 @@ class Controller final : public core::SchedulerHost,
   bool pass_can_early_exit() const;
   void start_common(JobId id, const std::vector<NodeId>& nodes,
                     cluster::AllocationKind kind);
-  /// Tracks `id` as running, ordered by submit index.
-  void track_running(JobId id);
-  /// Drops `id`'s running slot and cancels the completion event it holds.
-  void untrack_running(JobId id);
   /// Settles running rates against the machine at now() by draining its
   /// dirty-node list into ExecutionModel::refresh_rates, then cancels and
   /// places again the completion events of exactly the jobs whose predicted
@@ -253,31 +275,32 @@ class Controller final : public core::SchedulerHost,
   void remove_pending(JobId id);
   /// Puts the job on the eligible queue (dependency satisfied).
   void enqueue(JobId id);
-  /// Releases or cancels jobs held on `id` after it reached `success`.
-  void settle_dependents(JobId id, bool success);
+  /// Releases or cancels the jobs held on `live` after it reached
+  /// `success`.
+  void settle_dependents(Live& live, bool success);
   void cancel_held(JobId id);
   /// Tears down a running job's events/allocation and requeues it.
   void requeue(JobId id);
-  /// Ends `id`'s running attempt at now(), the one teardown every exit
+  /// Ends the job's running attempt at now(), the one teardown every exit
   /// from kRunning shares: cancels its walltime-kill and completion
   /// events (cancelling the event whose handler is running is a no-op),
-  /// untracks it, closes its execution epoch, vacates the occupancy meter,
-  /// releases its nodes, charges the attempt's node-time to fair-share
-  /// usage and drops its co-location entry. Returns that entry's partner
-  /// app, if the attempt shared a node. Callers settle rates afterwards.
-  std::optional<AppId> end_attempt(JobId id, const workload::Job& j);
+  /// closes its execution epoch, vacates the occupancy meter, releases its
+  /// nodes and charges the attempt's node-time to fair-share usage.
+  /// Returns the attempt's partner app, if it shared a node, and clears
+  /// it. Callers settle rates afterwards.
+  std::optional<AppId> end_attempt(Live& live);
   /// Marks a running job killed at now() (walltime or node failure):
   /// state, end time and dilation, the `timeout` trace record, span and
   /// counters.
   void mark_timeout(JobId id, workload::Job& j);
   /// Re-ranks pending_ under the configured queue policy.
   void order_queue();
-  /// Records `id`'s final state into the digest/state/metrics side tables,
-  /// drops its checkpoint credit, and moves its record out of the live
-  /// table: into kept_ when records are kept, otherwise it is freed. Must
-  /// be the LAST action of a final-state transition — after spans, tracer,
-  /// registry, and settle_dependents have all seen the record.
-  void retire_job(JobId id);
+  /// Records the job's final state into the digest/state/metrics side
+  /// tables and removes its entry: the record moves into kept_ when
+  /// records are kept, otherwise it is freed. Must be the LAST action of a
+  /// final-state transition — after spans, tracer, registry, and
+  /// settle_dependents have all seen the record.
+  void retire_job(Live& live);
   /// `id`'s lifecycle state, whether its record is live or retired.
   workload::JobState job_state(JobId id) const;
 
@@ -290,9 +313,8 @@ class Controller final : public core::SchedulerHost,
   /// The strategy may start jobs on secondary slots (a co strategy).
   const bool places_secondaries_;
 
-  /// Live (in-flight) records; a job leaves at retirement.
-  std::unordered_map<JobId, workload::Job> jobs_;
-  std::size_t submit_count_ = 0;
+  /// In-flight jobs; a job leaves at retirement.
+  std::unordered_map<JobId, Live> jobs_;
   /// !ControllerConfig::retire_finished.
   const bool keep_records_;
   /// Retired records by submit index, grown only when records are kept.
@@ -306,52 +328,32 @@ class Controller final : public core::SchedulerHost,
   /// Final JobState byte by submit index (kLive while the job is live);
   /// keeps depends_on queries answerable after the record is freed.
   std::vector<std::uint8_t> retired_state_;
-  std::size_t retired_total_ = 0;
   /// Final-state census of retired jobs, indexed by JobState value, so
   /// audit_state_counts stays exact after records are freed.
   std::size_t retired_counts_[6] = {0, 0, 0, 0, 0, 0};
   metrics::StreamAccumulator acc_;
   metrics::OccupancyMeter meter_;
   std::vector<JobId> pending_;
-  /// dependency -> jobs held on it.
-  std::unordered_map<JobId, std::vector<JobId>> held_on_;
-  /// Co-location attribution: the dominant partner app of each job that
-  /// ever shared a node, observed into the pair estimator at completion.
-  std::unordered_map<JobId, AppId> partner_;
   interference::PairEstimator estimator_;
   core::WalltimePredictor predictor_;
   SimDuration checkpoint_interval_;
-  /// Checkpointed progress (exclusive-seconds) of requeued jobs.
-  std::unordered_map<JobId, double> resume_progress_;
   QueuePolicy queue_policy_;
   core::PriorityCalculator priority_;
   core::UsageTracker usage_;
   bool requeue_on_failure_;
-  std::unordered_map<JobId, sim::EventId> kill_events_;
   bool pass_scheduled_ = false;
   bool in_pass_ = false;
   /// Attached arrival stream (submit_stream), nullptr once exhausted.
   workload::JobSource* stream_ = nullptr;
-  /// One slot per running job, sorted by submit index, so running_ids()
-  /// lists jobs in submit order and resync_completions finds a moved job's
-  /// slot by binary search. The completion-event handle lives inline.
-  struct RunningSlot {
-    std::size_t submit_idx;
-    JobId id;
-    /// Completion event currently scheduled for this job; invalid until
-    /// the first resync_completions after start places one.
-    bool has_end = false;
-    sim::EventId end_event = 0;
-  };
-  std::vector<RunningSlot> running_by_submit_;
-  /// resync_completions scratch: submit indices of the jobs whose end
-  /// moved, sorted so EventIds are handed out in submit order.
-  std::vector<std::size_t> moved_idx_;
+  /// resync_completions scratch: the entries of the jobs whose end moved,
+  /// sorted by submit index so EventIds are handed out in submit order.
+  std::vector<Live*> moved_;
   /// Deterministic cost counters, bound only when a registry is attached:
   /// epochs closed by a rate change, and completion events cancelled and
   /// placed again.
   obs::Counter* rate_changes_ = nullptr;
   obs::Counter* end_reschedules_ = nullptr;
+  /// Submit index of every job ever registered, live or retired.
   std::unordered_map<JobId, std::size_t> submit_index_;
   /// Pending-queue mutation counter (enqueue/requeue/cancel/remove);
   /// paired with machine_.generation() for pass early-exit.
