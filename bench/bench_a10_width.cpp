@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const double load = flags.get_double("load", 1.1);
   const auto node_list =
       parse_list(flags.get_string("nodes-list", "1024,4096,16384,32768"));
-  const int jobs = static_cast<int>(flags.get_int("jobs", 100000));
+  const int jobs = flags.get_int_in("jobs", 100000, 1);
 
   Table t({"nodes", "jobs", "wall (s)", "sched (s)", "passes",
            "blk skip/pass", "events", "makespan (h)"});

@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
     // --rss-every N: with --stream, checkpoint current RSS every N jobs
     // pulled; the emitted series shows whether memory is flat in trace
     // length (CI's scale smoke asserts a ceiling on the checkpoints).
-    const int rss_every = static_cast<int>(flags.get_int("rss-every", 0));
+    const int rss_every = flags.get_int_in("rss-every", 0, 0);
     auto spec =
         make_spec(env.nodes, env.jobs, strategy, env.base_seed, load);
     spec.controller.retire_finished = retire;

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   const auto strategy =
       core::parse_strategy(flags.get_string("strategy", "cobackfill"));
   const double load = flags.get_double("load", 0.9);
-  const int cells = static_cast<int>(flags.get_int("cells", 8));
+  const int cells = flags.get_int_in("cells", 8, 1);
   const auto thread_list = parse_list(flags.get_string("threads-list", "1,2,4,8"));
 
   runner::FleetSpec fleet;

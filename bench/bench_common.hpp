@@ -62,10 +62,10 @@ struct BenchEnv {
                              const char* command = "bench") {
     BenchEnv env;
     env.csv = flags.get_bool("csv", false);
-    env.seeds = static_cast<int>(flags.get_int("seeds", 3));
-    env.nodes = static_cast<int>(flags.get_int("nodes", 32));
-    env.jobs = static_cast<int>(flags.get_int("jobs", 500));
-    env.threads = static_cast<int>(flags.get_int("threads", 0));
+    env.seeds = flags.get_int_in("seeds", 3, 1);
+    env.nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
+    env.jobs = flags.get_int_in("jobs", 500, 1);
+    env.threads = flags.get_int_in("threads", 0, 0, runner::kMaxThreads);
     env.base_seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     env.profile = flags.get_bool("profile", false);
     env.metrics_json = flags.get_string("metrics-json", "");

@@ -17,8 +17,8 @@ int main(int argc, char** argv) {
   using namespace cosched;
   try {
     const Flags flags(argc, argv);
-    const int nodes = static_cast<int>(flags.get_int("nodes", 32));
-    const int jobs = static_cast<int>(flags.get_int("jobs", 400));
+    const int nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
+    const int jobs = flags.get_int_in("jobs", 400, 1);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     if (flags.get_bool("verbose", false)) set_log_level(LogLevel::kInfo);
     for (const auto& unknown : flags.unused()) {

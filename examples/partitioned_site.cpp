@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   using namespace cosched;
   try {
     const Flags flags(argc, argv);
-    const int nodes_each = static_cast<int>(flags.get_int("nodes-each", 16));
-    const int jobs = static_cast<int>(flags.get_int("jobs", 300));
+    const int nodes_each = flags.get_int_in("nodes-each", 16, 1, kMaxNodes);
+    const int jobs = flags.get_int_in("jobs", 300, 1);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     const double shared_fraction =
         flags.get_double("shared-fraction", 0.7);

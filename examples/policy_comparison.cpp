@@ -16,8 +16,8 @@ int main(int argc, char** argv) {
   using namespace cosched;
   try {
     const Flags flags(argc, argv);
-    const int nodes = static_cast<int>(flags.get_int("nodes", 32));
-    const int jobs = static_cast<int>(flags.get_int("jobs", 300));
+    const int nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
+    const int jobs = flags.get_int_in("jobs", 300, 1);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     const bool csv = flags.get_bool("csv", false);
     const std::string mix = flags.get_string("mix", "trinity");

@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
     }
     const auto strategy =
         core::parse_strategy(flags.get_string("strategy", "cobackfill"));
-    const int nodes = static_cast<int>(flags.get_int("nodes", 8));
-    const int jobs = static_cast<int>(flags.get_int("jobs", 12));
+    const int nodes = flags.get_int_in("nodes", 8, 1, kMaxNodes);
+    const int jobs = flags.get_int_in("jobs", 12, 1);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     for (const auto& unknown : flags.unused()) {
       std::cerr << "unknown flag --" << unknown << "\n";

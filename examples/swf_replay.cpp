@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     const std::string trace_path = flags.get_string("trace", "");
     const auto strategy =
         core::parse_strategy(flags.get_string("strategy", "cobackfill"));
-    const int nodes = static_cast<int>(flags.get_int("nodes", 32));
+    const int nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
     const auto max_jobs = flags.get_int("max-jobs", 500);
     const std::string out_path = flags.get_string("out", "");
     for (const auto& unknown : flags.unused()) {

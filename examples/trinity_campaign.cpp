@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   using namespace cosched;
   try {
     const Flags flags(argc, argv);
-    const int nodes = static_cast<int>(flags.get_int("nodes", 32));
-    const int jobs = static_cast<int>(flags.get_int("jobs", 500));
+    const int nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
+    const int jobs = flags.get_int_in("jobs", 500, 1);
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
     const auto standard =
         core::parse_strategy(flags.get_string("standard", "easy"));

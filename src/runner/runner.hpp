@@ -27,6 +27,9 @@
 
 namespace cosched::runner {
 
+/// The most workers a --threads flag may ask for; each is an OS thread.
+inline constexpr int kMaxThreads = 256;
+
 /// Resolves a --threads request: values > 0 pass through; 0 (the default)
 /// means std::thread::hardware_concurrency(), floored at 1.
 int resolve_threads(int requested);

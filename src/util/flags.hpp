@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,6 +24,10 @@ class Flags {
   std::string get_string(const std::string& name,
                          const std::string& def) const;
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// get_int that must lie in [lo, hi], as an int: an out-of-range value
+  /// fails with one line naming the flag and the range.
+  int get_int_in(const std::string& name, int def, int lo,
+                 int hi = std::numeric_limits<int>::max()) const;
   /// Rejects NaN and infinities as well as malformed numbers.
   double get_double(const std::string& name, double def) const;
   /// get_double that must be > 0 when the flag is given.

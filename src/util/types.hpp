@@ -39,6 +39,14 @@ inline constexpr SimDuration kDay = 24 * kHour;
 /// microseconds.
 inline constexpr std::int64_t kMaxInputSeconds = kTimeInfinity / kSecond / 4;
 
+/// The widest machine accepted from an input (the Nodes config key, a
+/// --nodes flag): 32 times the widest benchmarked machine.
+inline constexpr int kMaxNodes = 1 << 20;
+
+/// The largest SMT degree accepted from an input (ThreadsPerCore,
+/// OverSubscribe=YES:N): every node keeps one job slot per thread.
+inline constexpr int kMaxThreadsPerCore = 8;
+
 /// Converts floating-point seconds to integer simulation time (rounds to
 /// nearest microsecond; negative inputs round symmetrically).
 constexpr SimTime from_seconds(double s) {

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <string>
 
+#include "runner/runner.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -403,6 +404,30 @@ TEST(Flags, SecondsMustBeNonNegativeAndRepresentable) {
   EXPECT_NO_THROW(flags.get_seconds("max", 0));  // the limit itself
   EXPECT_EQ(flags.get_seconds("half", 0), 500 * kMillisecond);
   EXPECT_EQ(flags.get_seconds("missing", 0), 0);
+}
+
+// A count flag that does not fit its range fails with one line, instead
+// of wrapping on the narrowing to int (--jobs 4294967297 ran one job) or
+// reaching a precondition abort (--nodes 0).
+TEST(Flags, BoundedIntRejectsValuesOutsideItsRange) {
+  const char* argv[] = {"prog",       "--jobs=4294967297", "--nodes=0",
+                        "--cells=-4", "--threads=257",     "--context=0",
+                        "--ok=7"};
+  Flags flags(7, argv);
+  EXPECT_EQ(error_of([&] { flags.get_int_in("jobs", 300, 1); }),
+            "flag --jobs must be between 1 and 2147483647, got 4294967297");
+  EXPECT_EQ(error_of([&] { flags.get_int_in("nodes", 32, 1, kMaxNodes); }),
+            "flag --nodes must be between 1 and 1048576, got 0");
+  EXPECT_EQ(error_of([&] { flags.get_int_in("cells", 4, 1); }),
+            "flag --cells must be between 1 and 2147483647, got -4");
+  // The runner starts one OS thread per requested worker.
+  EXPECT_EQ(error_of([&] {
+              flags.get_int_in("threads", 0, 0, runner::kMaxThreads);
+            }),
+            "flag --threads must be between 0 and 256, got 257");
+  EXPECT_EQ(flags.get_int_in("context", 3, 0), 0);  // the bound itself
+  EXPECT_EQ(flags.get_int_in("ok", 0, 1, 7), 7);
+  EXPECT_EQ(flags.get_int_in("missing", 12, 1), 12);
 }
 
 TEST(Flags, TracksUnused) {

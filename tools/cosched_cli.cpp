@@ -117,9 +117,19 @@ slurmlite::ControllerConfig load_config(const Flags& flags) {
   return slurmlite::parse_config_file(path);
 }
 
+int jobs_flag(const Flags& flags) { return flags.get_int_in("jobs", 300, 1); }
+
+int nodes_flag(const Flags& flags, int def) {
+  return flags.get_int_in("nodes", def, 1, kMaxNodes);
+}
+
+int threads_flag(const Flags& flags) {
+  return flags.get_int_in("threads", 0, 0, runner::kMaxThreads);
+}
+
 workload::GeneratorParams campaign_params(const Flags& flags, int nodes) {
   const std::string campaign = flags.get_string("campaign", "trinity");
-  const int jobs = static_cast<int>(flags.get_int("jobs", 300));
+  const int jobs = jobs_flag(flags);
   workload::GeneratorParams params;
   if (campaign == "trinity") {
     params = workload::trinity_campaign(nodes, jobs);
@@ -178,7 +188,7 @@ obs::RunManifest manifest_from(const Flags& flags, const char* command,
   m.nodes = config.nodes;
   // SWF replays learn their job count only by draining the trace; the
   // manifest is stamped up front, so record "unknown" rather than a lie.
-  m.jobs = trace.empty() ? flags.get_int("jobs", 300) : -1;
+  m.jobs = trace.empty() ? jobs_flag(flags) : -1;
   m.threads = 1;
   m.stream = stream;
   return m;
@@ -388,16 +398,15 @@ int cmd_report(const Flags& flags) {
 int cmd_fleet(const Flags& flags) {
   const auto catalog = apps::Catalog::trinity();
   auto config = load_config(flags);
-  config.nodes = static_cast<int>(flags.get_int("nodes", config.nodes));
+  config.nodes = nodes_flag(flags, config.nodes);
   if (const std::string s = flags.get_string("strategy", ""); !s.empty()) {
     config.strategy = core::parse_strategy(s);
   }
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const int threads = runner::resolve_threads(
-      static_cast<int>(flags.get_int("threads", 0)));
+  const int threads = runner::resolve_threads(threads_flag(flags));
 
   runner::FleetSpec fleet;
-  fleet.cells = static_cast<int>(flags.get_int("cells", 4));
+  fleet.cells = flags.get_int_in("cells", 4, 1);
   fleet.base_seed = seed;
   fleet.stream = flags.get_bool("stream", false);
   fleet.cell.controller = config;
@@ -451,7 +460,7 @@ int cmd_diff(const Flags& flags) {
     return buffer.str();
   };
   obs::DiffOptions opts;
-  opts.context = static_cast<int>(flags.get_int("context", 3));
+  opts.context = flags.get_int_in("context", 3, 0);
   const obs::DiffResult result =
       obs::diff_streams(positional[0], read_all(positional[0]),
                         positional[1], read_all(positional[1]), opts);
@@ -476,8 +485,7 @@ int cmd_compare(const Flags& flags) {
   // print in strategy order (results land in submission-order slots, so
   // the table is identical for every --threads value). Each cell gets its
   // own registry (share-nothing, like all cell state).
-  runner::ParallelRunner pool(
-      static_cast<int>(flags.get_int("threads", 0)));
+  runner::ParallelRunner pool(threads_flag(flags));
   std::vector<std::unique_ptr<obs::Registry>> registries;
   std::vector<slurmlite::SimulationSpec> specs;
   for (auto kind : core::all_strategies()) {
@@ -536,7 +544,7 @@ int cmd_validate(const Flags& flags) {
     return 2;
   }
   const auto catalog = apps::Catalog::trinity();
-  const int nodes = static_cast<int>(flags.get_int("nodes", 32));
+  const int nodes = nodes_flag(flags, 32);
   auto jobs = trace::jobs_from_swf(trace::read_swf_file(trace),
                                    catalog.size());
   std::cout << "read " << jobs.size() << " jobs from " << trace << "\n";
