@@ -1,22 +1,23 @@
 // R-A8: scale fast path — end-to-end wall clock and peak memory across
-// machine sizes and trace lengths, comparing materialized ingestion (the
-// whole job list generated up front) against streaming ingestion, with
-// and without finished-job retirement. All three make the same
-// scheduling decisions (StreamSubmissionMatchesBatch pins this), so every
-// cell cross-checks makespan and completion counts while timing.
+// machine sizes and trace lengths. Every run pulls its generated arrivals
+// lazily through the one arrival path; the bench compares keeping the
+// finished job records against retiring them (dropping each record at its
+// final state). Both make the same scheduling decisions and the same
+// event stream, so every cell cross-checks the digest, makespan and
+// completion counts while timing.
 //
 // Two modes:
 //   default sweep: --nodes-list x --jobs-list grid; each cell runs the
-//     three configurations back to back and reports wall seconds.
+//     two configurations back to back and reports wall seconds.
 //     getrusage peak RSS is process-cumulative, so the sweep reports
 //     time only.
-//   --single: runs exactly ONE configuration (--stream, --retire) and
+//   --single: runs exactly ONE configuration (--retire or not) and
 //     prints a JSON record with wall seconds,
 //     scheduler-pass seconds (--profile arms the sampler), peak RSS and
 //     CPU time. BENCH_pr5.json's headline cell runs one process per
 //     configuration so the RSS numbers are honest. --retire frees each
 //     job record at its final state (flat memory); --rss-every N adds
-//     current-RSS checkpoints every N streamed jobs so flatness is
+//     current-RSS checkpoints every N pulled jobs so flatness is
 //     visible in the record, not just the peak.
 #include <chrono>
 #include <optional>
@@ -25,7 +26,6 @@
 
 #include "bench_common.hpp"
 #include "obs/process_stats.hpp"
-#include "trace/swf.hpp"
 
 namespace {
 
@@ -71,7 +71,7 @@ struct CellResult {
   /// Event-stream digest; 0 unless the spec armed hash_events.
   std::uint64_t digest = 0;
   /// (jobs pulled, current RSS MiB) checkpoints — nonempty only when the
-  /// cell streamed with rss_every > 0. A flat sequence is the
+  /// cell ran with rss_every > 0. A flat sequence is the
   /// memory-stays-O(in-flight) proof peak RSS alone cannot give.
   std::vector<std::pair<int, double>> rss_samples;
 };
@@ -100,29 +100,24 @@ class RssSamplingSource final : public workload::JobSource {
   std::vector<std::pair<int, double>>& out_;
 };
 
-/// Runs one configuration of one cell. `stream` pulls arrivals lazily
-/// from a GeneratorJobSource (never materializing the JobList);
-/// otherwise the list is generated up front and replayed. The generator
-/// draws identical jobs either way.
+/// Runs one configuration of one cell, pulling the generated arrivals
+/// lazily (the JobList never materializes); with rss_every > 0 the pulls
+/// pass through an RssSamplingSource.
 /// Completion counts come from the metrics (not the record list), so the
 /// same accounting works when spec.controller.retire_finished freed the
 /// records.
 CellResult run_cell(const slurmlite::SimulationSpec& spec,
-                    const apps::Catalog& catalog, bool stream,
-                    int rss_every = 0) {
+                    const apps::Catalog& catalog, int rss_every = 0) {
   CellResult cell;
   const auto start = Clock::now();
   const auto result = [&] {
-    if (!stream) return slurmlite::run_simulation(spec, catalog);
+    if (rss_every == 0) return slurmlite::run_simulation(spec, catalog);
     const workload::Generator generator(spec.workload, catalog);
-    // Same stream constant as run_simulation's generator draw, so both
-    // ingestion paths see identical jobs.
+    // Same stream constant as run_simulation's generator draw, so the
+    // sampled run pulls identical jobs.
     workload::GeneratorJobSource source(generator, Pcg32(spec.seed, 0x5eed));
-    if (rss_every > 0) {
-      RssSamplingSource sampled(source, rss_every, cell.rss_samples);
-      return slurmlite::run_stream(spec, catalog, sampled);
-    }
-    return slurmlite::run_stream(spec, catalog, source);
+    RssSamplingSource sampled(source, rss_every, cell.rss_samples);
+    return slurmlite::run_stream(spec, catalog, sampled);
   }();
   const std::chrono::duration<double> wall = Clock::now() - start;
   cell.wall_s = wall.count();
@@ -148,22 +143,20 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("single", false)) {
     // One configuration, one process: the JSON record's peak_rss_mb is
-    // attributable to exactly this ingestion/retirement combination.
-    const bool stream = flags.get_bool("stream", false);
+    // attributable to exactly this retirement setting.
     const bool retire = flags.get_bool("retire", false);
-    // --rss-every N: with --stream, checkpoint current RSS every N jobs
-    // pulled; the emitted series shows whether memory is flat in trace
-    // length (CI's scale smoke asserts a ceiling on the checkpoints).
+    // --rss-every N: checkpoint current RSS every N jobs pulled; the
+    // emitted series shows whether memory is flat in trace length (CI's
+    // scale smoke asserts a ceiling on the checkpoints).
     const int rss_every = flags.get_int_in("rss-every", 0, 0);
     auto spec =
         make_spec(env.nodes, env.jobs, strategy, env.base_seed, load);
     spec.controller.retire_finished = retire;
-    const auto cell = run_cell(spec, catalog, stream, rss_every);
+    const auto cell = run_cell(spec, catalog, rss_every);
     // Shared getrusage probe (obs/process_stats.hpp); peak_rss_mb keeps
     // its historical name for the BENCH_pr5/pr7 consumers.
     const obs::ProcessStats process = obs::process_stats();
     std::cout << "{\"nodes\": " << env.nodes << ", \"jobs\": " << env.jobs
-              << ", \"stream\": " << (stream ? "true" : "false")
               << ", \"retire\": " << (retire ? "true" : "false")
               << ", \"strategy\": \"" << core::to_string(strategy) << "\""
               << ", \"hardware_concurrency\": " << process.hardware_concurrency
@@ -194,56 +187,45 @@ int main(int argc, char** argv) {
   const auto job_list =
       parse_list(flags.get_string("jobs-list", "10000,100000"));
 
-  Table t({"nodes", "jobs", "materialized (s)", "streaming (s)",
-           "retire (s)", "events", "makespan (h)"});
+  Table t({"nodes", "jobs", "keep (s)", "retire (s)", "events",
+           "makespan (h)"});
   for (const int nodes : node_list) {
     for (const int jobs : job_list) {
-      // Hash every cell: the two streaming configurations must agree
-      // digest-for-digest (retirement reproduces the materialized fold
+      // Hash every cell: the two configurations must agree
+      // digest-for-digest (retirement reproduces the kept-record fold
       // from per-job subdigests), and the uniform hashing cost keeps the
-      // timing comparison fair. The materialized digest is not comparable
-      // — materialized ingestion assigns different event ids — so it is
-      // checked on makespan/completions only.
+      // timing comparison fair.
       auto spec = make_spec(nodes, jobs, strategy, env.base_seed, load);
       spec.hash_events = true;
       auto retire_spec = spec;
       retire_spec.controller.retire_finished = true;
-      const auto before = run_cell(spec, catalog, /*stream=*/false);
-      const auto after = run_cell(spec, catalog, /*stream=*/true);
-      const auto retired = run_cell(retire_spec, catalog, /*stream=*/true);
+      const auto kept = run_cell(spec, catalog);
+      const auto retired = run_cell(retire_spec, catalog);
       // Same decisions => same schedule; a drift here is a correctness
       // bug, not a perf result.
-      if (before.makespan_h != after.makespan_h ||
-          before.completed != after.completed) {
-        throw Error("configurations diverged at " + std::to_string(nodes) +
-                    " nodes / " + std::to_string(jobs) + " jobs");
-      }
-      if (retired.digest != after.digest ||
-          retired.makespan_h != after.makespan_h ||
-          retired.events != after.events ||
-          retired.completed != after.completed) {
-        throw Error("retire streaming diverged at " + std::to_string(nodes) +
+      if (retired.digest != kept.digest ||
+          retired.makespan_h != kept.makespan_h ||
+          retired.events != kept.events ||
+          retired.completed != kept.completed) {
+        throw Error("retire diverged at " + std::to_string(nodes) +
                     " nodes / " + std::to_string(jobs) + " jobs");
       }
       t.row()
           .add(nodes)
           .add(jobs)
-          .add(before.wall_s, 2)
-          .add(after.wall_s, 2)
+          .add(kept.wall_s, 2)
           .add(retired.wall_s, 2)
-          .add(static_cast<std::int64_t>(after.events))
-          .add(after.makespan_h, 2);
+          .add(static_cast<std::int64_t>(kept.events))
+          .add(kept.makespan_h, 2);
     }
   }
-  bench::emit(t, env, "R-A8: scale fast path (materialized vs streaming "
-                      "vs +retire)",
-              "The materialized column replays a job list generated up "
-              "front; the streaming column pulls the same arrivals "
-              "lazily; the retire column adds finished-job retirement "
-              "(flat memory) and is digest-checked against streaming. "
-              "The makespan column is shared by construction. Peak-RSS "
-              "comparisons need --single (one process per "
-              "configuration).");
+  bench::emit(t, env, "R-A8: scale fast path (kept records vs retire)",
+              "Both columns pull the same generated arrivals lazily; the "
+              "keep column keeps every finished job record, the retire "
+              "column drops each at its final state (flat memory) and is "
+              "digest-checked against keep. The makespan column is shared "
+              "by construction. Peak-RSS comparisons need --single (one "
+              "process per configuration).");
   bench::finish(env);
   return 0;
 }

@@ -59,7 +59,6 @@ int main(int argc, char** argv) {
   runner::FleetSpec fleet;
   fleet.cells = cells;
   fleet.base_seed = env.base_seed;
-  fleet.stream = flags.get_bool("stream", true);
   fleet.cell.controller.nodes = env.nodes;
   fleet.cell.controller.strategy = strategy;
   // Nothing the bench prints reads a job record.
@@ -72,7 +71,6 @@ int main(int argc, char** argv) {
   obs::RunManifest manifest = env.manifest;
   manifest.strategy = core::to_string(strategy);
   manifest.workload = "trinity-stream";
-  manifest.stream = fleet.stream;
 
   // The hw column repeats the host's hardware_concurrency so a --csv
   // consumer (CI's speedup gate) can skip speedup assertions on

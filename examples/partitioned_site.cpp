@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     for (auto& job : workload_jobs) {
       job.partition = rng.bernoulli(shared_fraction) ? "shared" : "exclusive";
     }
-    site.submit_all(workload_jobs);
+    for (const auto& job : workload_jobs) site.submit(job);
     engine.run();
 
     for (const auto& name : site.partition_names()) {

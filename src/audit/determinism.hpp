@@ -47,8 +47,8 @@ class EventStreamHasher final : public sim::EventObserver {
 /// subdigest in submit order. Retire-mode runs (Controller retiring
 /// finished-job state to keep memory flat) compute the same subdigest at
 /// the moment a job reaches its final state and store only the 8-byte
-/// value, so a retired run reproduces the exact digest of a materialized
-/// one without keeping any job record alive.
+/// value, so a retired run reproduces the exact digest of a
+/// record-keeping one without keeping any job record alive.
 std::uint64_t job_subdigest(const workload::Job& job);
 
 /// Folds every job's decision-visible lifecycle record into `hash`:

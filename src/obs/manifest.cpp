@@ -40,7 +40,6 @@ void write_manifest_fields(JsonWriter& w, const RunManifest& m,
   if (include_execution) {
     w.begin_object("execution");
     w.value("threads", m.threads);
-    w.value("stream", m.stream);
     w.value("build", m.build.empty() ? build_flavor() : m.build);
     w.end_object();
   }

@@ -10,11 +10,12 @@
 //     byte-identical event streams; `cosched diff` treats a mismatch
 //     here as a configuration error, not a divergence.
 //
-//   * execution — how the run was carried out (runner threads,
-//     streaming ingestion, build flavor). These may
-//     differ between runs that are required to agree byte-for-byte
-//     (that is the paper's whole claim), so `cosched diff` and
-//     `cosched report` strip the execution block before comparing.
+//   * execution — how the run was carried out (runner threads, build
+//     flavor). These may differ between runs that are required to agree
+//     byte-for-byte (that is the paper's whole claim), so `cosched diff`
+//     and `cosched report` strip the execution block before comparing.
+//     Ingestion is not among them: every run pulls its workload through
+//     the one arrival path, so it has no execution field.
 //
 // Emission is a caller decision: the CLI / bench harness stamps the
 // manifest as the first record; library code and tests that construct a
@@ -43,7 +44,6 @@ struct RunManifest {
 
   // --- execution (non-semantic: stripped before byte-comparisons) ---
   int threads = 1;
-  bool stream = false;           ///< streaming job ingestion
   std::string build;             ///< compile-time flavor, see build_flavor()
 };
 

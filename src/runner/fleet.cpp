@@ -8,7 +8,6 @@
 #include "util/check.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
-#include "workload/generator.hpp"
 
 namespace cosched::runner {
 
@@ -60,13 +59,7 @@ FleetResult run_fleet(ParallelRunner& pool, const FleetSpec& fleet,
         spec.hash_events = true;
         spec.controller.registry = registries[c].get();
         spec.controller.spans = ledgers[c].get();
-        if (!fleet.stream) return slurmlite::run_simulation(spec, catalog);
-        // Same seed stream as run_simulation, so the lazily-pulled job
-        // sequence equals the materialized one job-for-job.
-        const workload::Generator generator(spec.workload, catalog);
-        workload::GeneratorJobSource source(generator,
-                                            Pcg32(spec.seed, /*stream=*/0x5eed));
-        return slurmlite::run_stream(spec, catalog, source);
+        return slurmlite::run_simulation(spec, catalog);
       });
 
   FleetResult out;
@@ -112,7 +105,6 @@ std::string fleet_report_json(const FleetSpec& spec, const FleetResult& result,
   w.begin_object("fleet");
   w.value("cells", static_cast<std::int64_t>(spec.cells))
       .value("base_seed", static_cast<std::int64_t>(spec.base_seed))
-      .value("stream", spec.stream)
       .value("retire", spec.cell.controller.retire_finished)
       .value("digest", hex_digest(result.fleet_digest))
       .value("jobs_total", jobs_total)

@@ -11,11 +11,10 @@
 // byte-identical for every --threads value (tests/fleet_test.cpp pins
 // threads {1,2,8} x cells {1,4,16}).
 //
-// Every cell retires its jobs as they finish; with
-// SimulationSpec.controller.retire_finished set (cosched fleet and
-// bench_a9_fleet set it) the retired records are dropped, and with
-// FleetSpec::stream the workload is pulled lazily, so a fleet of
-// million-job cells runs in flat memory per cell.
+// Every cell pulls its generated workload lazily and retires its jobs as
+// they finish; with SimulationSpec.controller.retire_finished set
+// (cosched fleet and bench_a9_fleet set it) the retired records are
+// dropped, so a fleet of million-job cells runs in flat memory per cell.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +39,6 @@ struct FleetSpec {
   /// derive_seed(base_seed, c).
   std::uint64_t base_seed = 1;
   int cells = 1;
-  /// Pull each cell's generated workload lazily (run_stream over a
-  /// GeneratorJobSource seeded identically to the materialized path, so
-  /// the job sequence is the same either way).
-  bool stream = false;
 };
 
 struct FleetCellResult {

@@ -276,11 +276,6 @@ void Engine::maybe_purge() {
   dead_queued_ = 0;
 }
 
-void Engine::reserve_events(std::size_t additional) {
-  slot_of_id_.reserve(slot_of_id_.size() + additional);
-  calendar_.reserve(additional);
-}
-
 void Engine::add_observer(EventObserver* observer) {
   COSCHED_CHECK(observer != nullptr);
   COSCHED_CHECK(std::find(observers_.begin(), observers_.end(), observer) ==

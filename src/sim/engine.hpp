@@ -161,11 +161,6 @@ class Engine {
   /// live events a sweep deletes them from the queue (see purge_dead).
   bool cancel(EventId id);
 
-  /// Hints the expected number of future schedule_at calls so the id->slot
-  /// table and the overflow shelf grow once instead of doubling through
-  /// the submit burst.
-  void reserve_events(std::size_t additional);
-
   /// Runs until the queue drains. Returns the number of events executed.
   std::size_t run();
 
@@ -255,9 +250,6 @@ class Engine {
     const Entry& top();
     /// Removes top(). Requires !empty().
     void pop();
-    void reserve(std::size_t additional) {
-      overflow_.reserve(overflow_.size() + additional);
-    }
     /// Visits every pending entry in unspecified order (destructor path).
     template <typename Fn>
     void for_each(Fn&& fn) const {

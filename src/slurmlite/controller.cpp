@@ -111,22 +111,16 @@ void Controller::submit(workload::Job job) {
                       [this, id] { on_submit(id); });
 }
 
-void Controller::submit_all(const workload::JobList& jobs) {
-  // A full batch is known-size: grow the engine's id->slot table and
-  // overflow shelf once instead of doubling through the submit burst.
-  engine_.reserve_events(jobs.size());
-  jobs_.reserve(jobs_.size() + jobs.size());
-  submit_index_.reserve(submit_index_.size() + jobs.size());
-  retired_digest_.reserve(retired_digest_.size() + jobs.size());
-  retired_state_.reserve(retired_state_.size() + jobs.size());
-  if (keep_records_) kept_.reserve(kept_.size() + jobs.size());
-  for (const auto& job : jobs) submit(job);
-}
-
 void Controller::submit_stream(workload::JobSource& source) {
   COSCHED_REQUIRE(stream_ == nullptr, "a job stream is already attached");
   stream_ = &source;
   pump_stream();
+}
+
+void Controller::submit_all(const workload::JobList& jobs) {
+  COSCHED_REQUIRE(stream_ == nullptr, "a job stream is already attached");
+  list_.emplace(jobs);
+  submit_stream(*list_);
 }
 
 void Controller::pump_stream() {
@@ -136,14 +130,22 @@ void Controller::pump_stream() {
       stream_ = nullptr;
       return;
     }
+    // A lazy pull cannot reorder: arrival i+1 is scheduled from arrival
+    // i's submit event, so it must not be due before it.
+    COSCHED_REQUIRE(job->submit_time >= last_arrival_,
+                    "job " << job->id << " submits at "
+                           << to_seconds(job->submit_time)
+                           << " s, before the arrival pulled ahead of it ("
+                           << to_seconds(last_arrival_)
+                           << " s); arrivals must be in submit order");
+    last_arrival_ = job->submit_time;
     const JobId id = job->id;
     const std::optional<SimTime> when = register_job(std::move(*job));
     if (!when) continue;  // rejected on entry: keep pulling
     // The pull of arrival i+1 happens at the top of arrival i's submit
     // event, before on_submit can request a pass: the next submit event
     // exists (and, at the same instant, outranks kSchedule) before any
-    // pass event, so the pass sees every same-time arrival — exactly the
-    // order submit_all produces.
+    // pass event, so the pass sees every same-time arrival.
     engine_.schedule_at(*when, sim::EventPriority::kSubmit, "submit",
                         [this, id] {
                           pump_stream();

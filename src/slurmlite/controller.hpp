@@ -9,6 +9,7 @@
 #pragma once
 
 #include <chrono>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -128,23 +129,30 @@ class Controller final : public core::SchedulerHost,
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// Registers a job; its submit event fires at job.submit_time. Jobs that
-  /// request more nodes than the machine has are rejected (kCancelled).
+  /// Registers one job; its submit event fires at job.submit_time. Jobs
+  /// that request more nodes than the machine has are rejected
+  /// (kCancelled). Whole workloads go through submit_stream.
   void submit(workload::Job job);
-  void submit_all(const workload::JobList& jobs);
 
-  /// Attaches a lazily-pulled arrival stream (nondecreasing submit times):
-  /// only one arrival's submit event is pending at a time — firing it
-  /// pulls and schedules the next before the scheduler pass runs, so
-  /// same-instant arrivals still all enqueue ahead of the pass (kSubmit
-  /// orders before kSchedule) and decisions match submit_all over the
-  /// same sequence. The source must outlive the drain (engine.run()).
+  /// Attaches the arrival source every whole workload goes through, pulled
+  /// lazily: only one arrival's submit event is pending at a time, and
+  /// firing it pulls and schedules the next before the scheduler pass
+  /// runs, so same-instant arrivals all enqueue ahead of the pass (kSubmit
+  /// orders before kSchedule). An arrival that submits earlier than the
+  /// one pulled before it throws Error naming the job. The source must
+  /// outlive the drain (engine.run()).
   void submit_stream(workload::JobSource& source);
+  /// submit_stream over a ListSource of `jobs`, which must outlive the
+  /// drain (hence no overload for a temporary).
+  void submit_all(const workload::JobList& jobs);
+  void submit_all(workload::JobList&&) = delete;
 
   /// scancel: cancels a job in any live state. Pending/held jobs are
   /// removed from the queue; running jobs are killed and their resources
   /// released; dependents are cancelled in cascade. Returns false if the
-  /// job is unknown or already finished.
+  /// job is unknown or already finished. An arrival of an attached source
+  /// is unknown until it is pulled (at the previous arrival's submit
+  /// event): cancelling it earlier returns false, and it later runs.
   bool cancel(JobId id);
 
   /// All jobs in submission order: the kept records of retired jobs and
@@ -250,7 +258,8 @@ class Controller final : public core::SchedulerHost,
   /// rejected on entry (recorded as kCancelled, no event needed).
   std::optional<SimTime> register_job(workload::Job job);
   /// Pulls arrivals from stream_ until one registers, scheduling its
-  /// submit event; detaches the stream when exhausted.
+  /// submit event; detaches the stream when exhausted. Throws Error on an
+  /// arrival earlier than the one pulled before it.
   void pump_stream();
   Live& entry(JobId id);
   /// job()'s miss path: a retired job, readable while its record is kept.
@@ -345,6 +354,10 @@ class Controller final : public core::SchedulerHost,
   bool in_pass_ = false;
   /// Attached arrival stream (submit_stream), nullptr once exhausted.
   workload::JobSource* stream_ = nullptr;
+  /// The source submit_all attaches.
+  std::optional<workload::ListSource> list_;
+  /// Submit time of the last arrival pulled from a stream.
+  SimTime last_arrival_ = std::numeric_limits<SimTime>::min();
   /// resync_completions scratch: the entries of the jobs whose end moved,
   /// sorted by submit index so EventIds are handed out in submit order.
   std::vector<Live*> moved_;
@@ -370,7 +383,7 @@ class Controller final : public core::SchedulerHost,
   obs::SpanLedger* spans_;   // non-owning, may be nullptr (config.spans)
   /// Snapshot sampler riding the engine observer seam; owned here, added
   /// to the engine in the constructor and removed in the destructor (the
-  /// engine outlives the controller in run_with — engine is declared
+  /// engine outlives the controller in run_stream — engine is declared
   /// first).
   std::unique_ptr<obs::SnapshotSampler> sampler_;
 };

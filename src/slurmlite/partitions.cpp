@@ -44,10 +44,6 @@ void PartitionedSystem::submit(workload::Job job) {
   target->submit(std::move(job));
 }
 
-void PartitionedSystem::submit_all(const workload::JobList& jobs) {
-  for (const auto& job : jobs) submit(job);
-}
-
 Controller& PartitionedSystem::partition(const std::string& name) {
   Controller* c = find(name);
   COSCHED_REQUIRE(c != nullptr, "unknown partition '" << name << "'");

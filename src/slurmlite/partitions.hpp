@@ -25,10 +25,9 @@ class PartitionedSystem {
                     std::vector<PartitionConfig> partitions,
                     const apps::Catalog& catalog);
 
-  /// Routes by job.partition (empty = default). Unknown names raise
-  /// cosched::Error.
+  /// Routes one job by job.partition (empty = default) to that
+  /// partition's Controller::submit. Unknown names raise cosched::Error.
   void submit(workload::Job job);
-  void submit_all(const workload::JobList& jobs);
 
   Controller& partition(const std::string& name);
   const Controller& partition(const std::string& name) const;

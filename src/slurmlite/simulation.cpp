@@ -28,11 +28,11 @@ bool audit_enabled(AuditMode mode) {
   return false;
 }
 
-/// Common simulation body behind run_jobs/run_stream; `submit` injects the
-/// workload (either the whole list upfront or a lazily-pulled stream).
-template <typename SubmitFn>
-SimulationResult run_with(const SimulationSpec& spec,
-                          const apps::Catalog& catalog, SubmitFn&& submit) {
+}  // namespace
+
+SimulationResult run_stream(const SimulationSpec& spec,
+                            const apps::Catalog& catalog,
+                            workload::JobSource& source) {
   COSCHED_PROF_SCOPE("simulate");
   sim::Engine engine;
   Controller controller(engine, spec.controller, catalog);
@@ -55,7 +55,7 @@ SimulationResult run_with(const SimulationSpec& spec,
     engine.add_observer(&*event_tracer);
   }
 
-  submit(controller);
+  controller.submit_stream(source);
   engine.run();
 
   SimulationResult result;
@@ -79,28 +79,19 @@ SimulationResult run_with(const SimulationSpec& spec,
   return result;
 }
 
-}  // namespace
-
 SimulationResult run_jobs(const SimulationSpec& spec,
                           const apps::Catalog& catalog,
                           const workload::JobList& jobs) {
-  return run_with(spec, catalog,
-                  [&](Controller& controller) { controller.submit_all(jobs); });
-}
-
-SimulationResult run_stream(const SimulationSpec& spec,
-                            const apps::Catalog& catalog,
-                            workload::JobSource& source) {
-  return run_with(spec, catalog, [&](Controller& controller) {
-    controller.submit_stream(source);
-  });
+  workload::ListSource source(jobs);
+  return run_stream(spec, catalog, source);
 }
 
 SimulationResult run_simulation(const SimulationSpec& spec,
                                 const apps::Catalog& catalog) {
-  workload::Generator generator(spec.workload, catalog);
-  Pcg32 rng(spec.seed, /*stream=*/0x5eed);
-  return run_jobs(spec, catalog, generator.generate(rng));
+  const workload::Generator generator(spec.workload, catalog);
+  workload::GeneratorJobSource source(generator,
+                                      Pcg32(spec.seed, /*stream=*/0x5eed));
+  return run_stream(spec, catalog, source);
 }
 
 audit::RunDigest run_digest(const SimulationSpec& spec,

@@ -1,6 +1,7 @@
-// One-call experiment runner: build machine + controller, generate or
-// accept a workload, run the event loop to completion, compute metrics.
-// Every bench and example goes through this entry point.
+// One-call experiment runner: build machine + controller, pull a workload
+// (generated, listed or streamed) through one arrival path, run the event
+// loop to completion, compute metrics. Every bench and example goes
+// through this entry point.
 #pragma once
 
 #include <cstdint>
@@ -49,20 +50,22 @@ struct SimulationResult {
   std::uint64_t event_stream_hash = 0;
 };
 
-/// Generates a workload from spec.workload (seeded) and runs it.
+/// Runs the workload generated from spec.workload (seeded), pulled job
+/// by job through run_stream from a GeneratorJobSource.
 SimulationResult run_simulation(const SimulationSpec& spec,
                                 const apps::Catalog& catalog);
 
-/// Runs an explicit job list (e.g. an SWF replay) under spec.controller.
+/// Runs an explicit job list (e.g. an SWF replay) under spec.controller:
+/// run_stream over a ListSource, so it equals run_stream over the same
+/// jobs event for event and digest for digest.
 SimulationResult run_jobs(const SimulationSpec& spec,
                           const apps::Catalog& catalog,
                           const workload::JobList& jobs);
 
-/// Runs jobs pulled lazily from `source` (streaming ingestion): each
-/// submit event pulls the next arrival, so pending state stays O(running
-/// jobs) and a 100k-job trace never fully materializes. Scheduling
-/// decisions match run_jobs over the same job sequence (pinned by test);
-/// event ids differ, so compare job records, not digests.
+/// Runs jobs pulled lazily from `source`, the one ingestion path every run
+/// takes: each submit event pulls the next arrival, so pending state stays
+/// O(running jobs) and a 100k-job trace never fully materializes. Throws
+/// Error on an arrival that submits earlier than the one before it.
 SimulationResult run_stream(const SimulationSpec& spec,
                             const apps::Catalog& catalog,
                             workload::JobSource& source);

@@ -85,6 +85,11 @@ std::optional<SwfRecord> SwfReader::next() {
     }
     return r;
   }
+  if (!ended_ && malformed_ > 0) {
+    COSCHED_WARN("SWF stream: skipped " << malformed_
+                                        << " malformed line(s)");
+  }
+  ended_ = true;
   return std::nullopt;
 }
 
@@ -92,10 +97,6 @@ std::vector<SwfRecord> read_swf(std::istream& in, std::size_t* malformed) {
   std::vector<SwfRecord> out;
   SwfReader reader(in);
   while (auto r = reader.next()) out.push_back(*r);
-  if (reader.malformed_lines() > 0) {
-    COSCHED_WARN("SWF stream: skipped " << reader.malformed_lines()
-                                        << " malformed line(s)");
-  }
   if (malformed != nullptr) *malformed = reader.malformed_lines();
   return out;
 }
@@ -226,9 +227,9 @@ SwfJobSource::~SwfJobSource() = default;
 std::optional<workload::Job> SwfJobSource::next() {
   std::optional<SwfRecord> record = reader_.next();
   if (!record) {
-    // The reader already warned (once) at the first skip; at drain the
-    // total surfaces as a registry counter rather than a second log line.
-    // Guarded so polling next() past the end never double-counts.
+    // The reader warned at the first skip and again with the total at the
+    // end of the stream; a bound registry also counts the total. Guarded
+    // so polling next() past the end never double-counts.
     if (!skips_reported_ && registry_ != nullptr) {
       skips_reported_ = true;
       if (reader_.malformed_lines() > 0) {

@@ -20,10 +20,13 @@ class JobSource {
   virtual std::optional<Job> next() = 0;
 };
 
-/// Adapter streaming an in-memory list (tests, differential checks).
+/// Streams an in-memory list: how run_jobs and Controller::submit_all
+/// feed a materialized workload (an SWF replay, a scripted test) through
+/// the one arrival path. The list must outlive the source.
 class ListSource final : public JobSource {
  public:
   explicit ListSource(const JobList& jobs) : jobs_(&jobs) {}
+  explicit ListSource(JobList&&) = delete;
   std::optional<Job> next() override {
     if (index_ >= jobs_->size()) return std::nullopt;
     return (*jobs_)[index_++];

@@ -96,6 +96,30 @@ TEST(Cancel, UnknownOrFinishedReturnsFalse) {
   EXPECT_FALSE(controller.cancel(1));  // already completed
 }
 
+TEST(Cancel, ListArrivalNotYetPulledIsUnknown) {
+  // submit_all pulls job i+1 at job i's submit event: once job 1 has
+  // submitted, job 2 is registered (its submit event pending at 1 h) and
+  // job 3 is not.
+  sim::Engine engine;
+  slurmlite::Controller controller(engine, slurmlite::ControllerConfig{},
+                                   trinity());
+  workload::JobList jobs = {make_job(1, 1, kMinute, kHour, 0),
+                            make_job(2, 1, kMinute, kHour, 0),
+                            make_job(3, 1, kMinute, kHour, 0)};
+  jobs[1].submit_time = kHour;
+  jobs[2].submit_time = 2 * kHour;
+  controller.submit_all(jobs);
+  engine.run_until(kMinute);
+  EXPECT_TRUE(controller.cancel(2));
+  EXPECT_FALSE(controller.cancel(3));
+  engine.run();
+  const auto records = controller.job_records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[1].state, workload::JobState::kCancelled);
+  EXPECT_EQ(records[2].state, workload::JobState::kCompleted);
+  EXPECT_EQ(records[2].start_time, 2 * kHour);
+}
+
 TEST(Cancel, CancellingSecondaryRestoresPrimaryRate) {
   sim::Engine engine;
   slurmlite::ControllerConfig config;

@@ -110,7 +110,7 @@ TEST(DiffStreams, ManifestExecutionBlockIsIgnored) {
 
   RunManifest other = m;
   other.threads = 4;
-  other.stream = true;
+  other.build = "custom";
 
   Tracer a;
   Tracer b;

@@ -466,7 +466,6 @@ RunManifest sample_manifest() {
   m.nodes = 16;
   m.jobs = 80;
   m.threads = 2;
-  m.stream = true;
   return m;
 }
 
@@ -478,7 +477,6 @@ TEST(Manifest, SplitsDecisionIdentityFromExecution) {
   EXPECT_EQ(full.at("seed").as_number(), 7.0);
   ASSERT_TRUE(full.has("execution"));
   EXPECT_EQ(full.at("execution").at("threads").as_number(), 2.0);
-  EXPECT_TRUE(full.at("execution").at("stream").as_bool());
   EXPECT_FALSE(full.at("execution").at("build").as_string().empty());
 
   // Stripping execution must leave the decision identity bytes intact:
@@ -490,7 +488,7 @@ TEST(Manifest, SplitsDecisionIdentityFromExecution) {
   }
   RunManifest other = m;
   other.threads = 1;
-  other.stream = false;
+  other.build = "custom";
   EXPECT_EQ(manifest_json(m, false), manifest_json(other, false));
 }
 

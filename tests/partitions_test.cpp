@@ -85,7 +85,7 @@ TEST(Partitions, IndependentMachinesAndStrategies) {
   e1.partition = "exclusive";
   auto e2 = make_job(4, 2, kHour, 2 * kHour, 0);
   e2.partition = "exclusive";
-  site.submit_all({p1, p2, e1, e2});
+  for (const workload::Job& job : {p1, p2, e1, e2}) site.submit(job);
   engine.run();
 
   const auto shared_records = site.partition("shared").job_records();
@@ -106,7 +106,8 @@ TEST(Partitions, AllRecordsMergedById) {
   a.partition = "exclusive";
   auto b = make_job(2, 1, kMinute, kHour, 0);
   b.partition = "shared";
-  site.submit_all({a, b});
+  site.submit(a);
+  site.submit(b);
   engine.run();
   const auto all = site.all_records();
   ASSERT_EQ(all.size(), 2u);

@@ -20,7 +20,6 @@
 #include "util/rng.hpp"
 #include "workload/campaign.hpp"
 #include "workload/generator.hpp"
-#include "workload/source.hpp"
 
 namespace cosched {
 namespace {
@@ -32,16 +31,12 @@ const apps::Catalog& trinity() {
   return catalog;
 }
 
-// Streams the spec's generated workload (same Pcg32 stream constant as
-// run_simulation, so the job sequence is identical) with retire on/off.
+// Runs the spec's generated workload, pulled lazily, with retire on/off.
 slurmlite::SimulationResult run_streaming(slurmlite::SimulationSpec spec,
                                           bool retire) {
   spec.controller.retire_finished = retire;
   spec.hash_events = true;
-  const workload::Generator generator(spec.workload, trinity());
-  workload::GeneratorJobSource source(generator,
-                                      Pcg32(spec.seed, /*stream=*/0x5eed));
-  return slurmlite::run_stream(spec, trinity(), source);
+  return slurmlite::run_simulation(spec, trinity());
 }
 
 // Every metric field, bit for bit.
@@ -178,8 +173,8 @@ TEST(RetireMode, FailureRunMetersEveryAttempt) {
 // Hand-built list exercising every final state a record retires from:
 // completion, walltime timeout, and dependency-cascade cancellation (the
 // parent times out, so its "afterok" dependent — still held — is cancelled
-// without ever running). Both sides use run_jobs (materialized ingestion),
-// so event ids and digests are comparable.
+// without ever running). Both sides use run_jobs, so event ids and digests
+// are comparable.
 TEST(RetireMode, DependencyCascadeMatchesMaterializedRun) {
   workload::JobList jobs;
   // 1: completes normally.
@@ -273,10 +268,9 @@ TEST(RetireMode, InterleavedCancellationsMatch) {
 
 // --- Heavier streaming differential ------------------------------------------
 
-// A 20k-job streaming run: retire metrics vs the materialized
-// run_simulation over the same seed. Streaming and materialized ingestion
-// produce different event ids (so digests are not comparable), but the
-// schedule — and therefore every job-derived metric — must agree.
+// A 20k-job retiring run against run_simulation keeping its records over
+// the same seed: both pull the same arrivals through the one ingestion
+// path, so the digest, the schedule and every job-derived metric agree.
 TEST(RetireMode, LargeStreamMatchesMaterializedMetrics) {
   slurmlite::SimulationSpec spec;
   spec.controller.nodes = 64;
@@ -286,17 +280,17 @@ TEST(RetireMode, LargeStreamMatchesMaterializedMetrics) {
   spec.audit = slurmlite::AuditMode::kOff;  // 20k jobs: keep debug runs fast
   spec.hash_events = true;
 
-  const auto materialized = slurmlite::run_simulation(spec, trinity());
+  const auto kept = slurmlite::run_simulation(spec, trinity());
   const auto retired = run_streaming(spec, /*retire=*/true);
 
   EXPECT_TRUE(retired.jobs.empty());
-  EXPECT_EQ(materialized.jobs.size(), 20000u);
-  expect_metrics_match(retired.metrics, materialized.metrics);
-  expect_metrics_match(
-      metrics::compute(materialized.jobs, spec.controller.nodes),
-      materialized.metrics);
-  EXPECT_EQ(retired.stats.completions, materialized.stats.completions);
-  EXPECT_EQ(retired.stats.timeouts, materialized.stats.timeouts);
+  EXPECT_EQ(kept.jobs.size(), 20000u);
+  EXPECT_EQ(retired.event_stream_hash, kept.event_stream_hash);
+  expect_metrics_match(retired.metrics, kept.metrics);
+  expect_metrics_match(metrics::compute(kept.jobs, spec.controller.nodes),
+                       kept.metrics);
+  EXPECT_EQ(retired.stats.completions, kept.stats.completions);
+  EXPECT_EQ(retired.stats.timeouts, kept.stats.timeouts);
 }
 
 // --- Engine id-table windowing -----------------------------------------------

@@ -383,11 +383,9 @@ TEST(Simulation, AllJobsReachFinalState) {
 }
 
 TEST(Simulation, StreamSubmissionMatchesBatch) {
-  // Lazy streaming ingestion must produce the same scheduling decisions as
-  // materializing the whole workload up front: the pull-before-pass order
-  // plus kSubmit < kSchedule priority keeps every pass's arrival set
-  // identical. Event ids differ (pump events interleave differently), so
-  // compare job records, not event counts or digests.
+  // run_jobs pulls the list through the one arrival path, so it makes the
+  // decisions, the event stream and the digest of run_stream over a
+  // ListSource of the same jobs.
   for (const auto strategy : {core::StrategyKind::kCoBackfill,
                               core::StrategyKind::kCoConservative,
                               core::StrategyKind::kEasyBackfill}) {
@@ -396,6 +394,7 @@ TEST(Simulation, StreamSubmissionMatchesBatch) {
     spec.controller.nodes = 12;
     spec.workload = workload::trinity_stream(12, 150, /*offered_load=*/1.1);
     spec.seed = 21;
+    spec.hash_events = true;
 
     const workload::Generator gen(spec.workload, trinity());
     Pcg32 rng(spec.seed);
@@ -405,6 +404,9 @@ TEST(Simulation, StreamSubmissionMatchesBatch) {
     workload::ListSource list(jobs);
     const auto streamed = run_stream(spec, trinity(), list);
 
+    ASSERT_NE(batch.event_stream_hash, 0u);
+    EXPECT_EQ(streamed.event_stream_hash, batch.event_stream_hash);
+    EXPECT_EQ(streamed.events_executed, batch.events_executed);
     ASSERT_EQ(streamed.jobs.size(), batch.jobs.size());
     for (std::size_t i = 0; i < batch.jobs.size(); ++i) {
       EXPECT_EQ(streamed.jobs[i].id, batch.jobs[i].id);
@@ -416,6 +418,25 @@ TEST(Simulation, StreamSubmissionMatchesBatch) {
     }
     EXPECT_DOUBLE_EQ(streamed.metrics.scheduling_efficiency,
                      batch.metrics.scheduling_efficiency);
+  }
+}
+
+TEST(Simulation, ListOutOfSubmitOrderThrowsNamingTheJob) {
+  // A lazy pull cannot reorder: job 3 would be due before job 2, the
+  // arrival that pulls it.
+  workload::JobList jobs = {make_job(1, 1, kMinute, kHour, 0),
+                            make_job(2, 1, kMinute, kHour, 0),
+                            make_job(3, 1, kMinute, kHour, 0)};
+  jobs[1].submit_time = 2 * kHour;
+  jobs[2].submit_time = kHour;
+  SimulationSpec spec;
+  spec.controller = small_config(core::StrategyKind::kEasyBackfill);
+  try {
+    (void)run_jobs(spec, trinity(), jobs);
+    FAIL() << "an arrival out of submit order ran";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("job 3 "), std::string::npos)
+        << e.what();
   }
 }
 

@@ -208,6 +208,28 @@ TEST(Swf, StreamingSourceSurfacesSkipsAsRegistryCounter) {
   EXPECT_EQ(registry.counter("swf_malformed_lines").value(), 2u);
 }
 
+// Every replay streams, so the source itself logs the skip total at drain,
+// once, with no registry bound: the count never reaches only a counter.
+TEST(Swf, StreamingSourceWarnsSkipTotalAtDrain) {
+  std::stringstream in(
+      "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 5 -1 100\n"   // truncated
+      "garbled text\n"  // not even a job number
+      "3 10 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+  SwfJobSource source(in, 0);
+  ::testing::internal::CaptureStderr();
+  while (source.next()) {
+  }
+  EXPECT_FALSE(source.next().has_value());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("SWF line 2: expected 18 numeric fields"),
+            std::string::npos)
+      << err;
+  const std::size_t total = err.find("skipped 2 malformed line(s)");
+  EXPECT_NE(total, std::string::npos) << err;
+  EXPECT_EQ(err.find("skipped", total + 1), std::string::npos) << err;
+}
+
 // A data line whose first field is not a number is a malformed line, not
 // a blank one: skipped and counted like a short line.
 TEST(Swf, MaterializedReadCountsNonNumericFirstField) {

@@ -2,13 +2,12 @@
 //
 //   cosched sim      --config FILE [--workload trace.swf]
 //                    [--campaign trinity|membound|compute] [--jobs N]
-//                    [--stream-load RHO] [--seed N] [--stream]
+//                    [--stream-load RHO] [--seed N]
 //                    [--sacct] [--gantt out.csv] [--swf-out out.swf]
 //                    [--json out.json] [--trace out.jsonl]
 //                    [--metrics-json out.json] [--profile]
-//                    # --stream pulls jobs lazily (SWF or generator), so a
-//                    # 100k-job trace never materializes; decisions are
-//                    # identical to the default materialized path
+//                    # jobs are pulled lazily (SWF or generator), so a
+//                    # 100k-job trace never materializes, and
 //                    # every job retires as it finishes; its record is
 //                    # kept only for --sacct/--gantt/--swf-out/--json, so
 //                    # otherwise memory is O(in-flight jobs)
@@ -33,7 +32,7 @@
 //   cosched fleet    [--cells N] [--threads N] [--nodes N] [--jobs N]
 //                    [--seed N] [--strategy NAME] [--config FILE]
 //                    [--campaign trinity|membound|compute]
-//                    [--stream-load RHO] [--stream] [--out report.json]
+//                    [--stream-load RHO] [--out report.json]
 //                    # N independent clusters ("cells") of one
 //                    # configuration, seeds derived per cell, fanned over
 //                    # a thread pool, merged in fixed cell order. The
@@ -149,8 +148,7 @@ workload::GeneratorParams campaign_params(const Flags& flags, int nodes) {
   return params;
 }
 
-/// Streaming SWF replay decorates jobs with the catalog's shareable flag,
-/// mirroring what load_or_generate_jobs does after a materialized load.
+/// An SWF replay decorates jobs with the catalog's shareable flag.
 class ShareableFromCatalog final : public workload::JobSource {
  public:
   ShareableFromCatalog(workload::JobSource& inner,
@@ -174,7 +172,7 @@ class ShareableFromCatalog final : public workload::JobSource {
 /// config; execution fields record how this invocation was carried out.
 obs::RunManifest manifest_from(const Flags& flags, const char* command,
                                const slurmlite::ControllerConfig& config,
-                               std::uint64_t seed, bool stream) {
+                               std::uint64_t seed) {
   obs::RunManifest m;
   m.command = command;
   m.strategy = core::to_string(config.strategy);
@@ -190,42 +188,18 @@ obs::RunManifest manifest_from(const Flags& flags, const char* command,
   // manifest is stamped up front, so record "unknown" rather than a lie.
   m.jobs = trace.empty() ? jobs_flag(flags) : -1;
   m.threads = 1;
-  m.stream = stream;
   return m;
 }
 
-workload::JobList load_or_generate_jobs(const Flags& flags,
-                                        const apps::Catalog& catalog,
-                                        int nodes, std::uint64_t seed) {
-  const std::string trace = flags.get_string("workload", "");
-  if (!trace.empty()) {
-    auto jobs = trace::jobs_from_swf(trace::read_swf_file(trace),
-                                     catalog.size());
-    for (auto& job : jobs) {
-      job.shareable = catalog.get(job.app).shareable;
-    }
-    return jobs;
-  }
-  workload::Generator generator(campaign_params(flags, nodes), catalog);
-  Pcg32 rng(seed, 0xc11);
-  return generator.generate(rng);
-}
-
-/// Runs the simulation described by `flags` + `spec`: materialized by
-/// default, streaming with --stream (SWF replay when --workload is set,
-/// campaign generator otherwise). The spec's registry — when attached —
-/// is bound to the streaming SWF source so malformed-line skips surface
-/// as the swf_malformed_lines counter.
+/// Runs the simulation described by `flags` + `spec`, pulling jobs one at
+/// a time in arrival order (an SWF replay when --workload is set, the
+/// campaign generator otherwise), so pending state stays O(running)
+/// regardless of trace length. The spec's registry — when attached — is
+/// bound to the SWF source so malformed-line skips also surface as the
+/// swf_malformed_lines counter.
 slurmlite::SimulationResult run_from_flags(
     const Flags& flags, const slurmlite::SimulationSpec& spec,
-    const apps::Catalog& catalog, std::uint64_t seed, bool stream) {
-  if (!stream) {
-    const auto jobs =
-        load_or_generate_jobs(flags, catalog, spec.controller.nodes, seed);
-    return slurmlite::run_jobs(spec, catalog, jobs);
-  }
-  // Streaming ingestion: jobs are pulled one at a time in arrival order,
-  // so pending state stays O(running) regardless of trace length.
+    const apps::Catalog& catalog, std::uint64_t seed) {
   const std::string trace_in = flags.get_string("workload", "");
   if (!trace_in.empty()) {
     trace::SwfJobSource swf(trace_in, catalog.size());
@@ -243,7 +217,6 @@ int cmd_sim(const Flags& flags) {
   const auto catalog = apps::Catalog::trinity();
   const auto config = load_config(flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const bool stream = flags.get_bool("stream", false);
 
   obs::Tracer tracer;
   obs::Registry registry;
@@ -283,12 +256,11 @@ int cmd_sim(const Flags& flags) {
   // --snapshot-every S: sample utilization/queue-depth gauges into the
   // trace and registry every S seconds of sim time.
   spec.controller.snapshot_period = flags.get_seconds("snapshot-every", 0.0);
-  const obs::RunManifest manifest =
-      manifest_from(flags, "sim", config, seed, stream);
+  const obs::RunManifest manifest = manifest_from(flags, "sim", config, seed);
   // The manifest is the first trace record (t_us = 0), stamped before the
   // run so even an aborted run leaves a self-describing artifact.
   if (!trace_path.empty()) tracer.manifest(manifest);
-  const auto result = run_from_flags(flags, spec, catalog, seed, stream);
+  const auto result = run_from_flags(flags, spec, catalog, seed);
 
   if (sacct) std::cout << slurmlite::sacct(result.jobs, catalog) << "\n";
   std::cout << slurmlite::metrics_summary(result.metrics);
@@ -346,7 +318,6 @@ int cmd_report(const Flags& flags) {
   const auto catalog = apps::Catalog::trinity();
   const auto config = load_config(flags);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const bool stream = flags.get_bool("stream", false);
 
   obs::Registry registry;
   obs::SpanLedger spans;
@@ -359,8 +330,8 @@ int cmd_report(const Flags& flags) {
   // Nothing the report prints reads a job record.
   spec.controller.retire_finished = true;
   const obs::RunManifest manifest =
-      manifest_from(flags, "report", config, seed, stream);
-  const auto result = run_from_flags(flags, spec, catalog, seed, stream);
+      manifest_from(flags, "report", config, seed);
+  const auto result = run_from_flags(flags, spec, catalog, seed);
 
   // Metrics/stats fragments come from the same field writers as the sim
   // JSON export, with the one wall-clock stats field dropped.
@@ -408,14 +379,12 @@ int cmd_fleet(const Flags& flags) {
   runner::FleetSpec fleet;
   fleet.cells = flags.get_int_in("cells", 4, 1);
   fleet.base_seed = seed;
-  fleet.stream = flags.get_bool("stream", false);
   fleet.cell.controller = config;
   // Nothing a fleet prints reads a job record.
   fleet.cell.controller.retire_finished = true;
   fleet.cell.workload = campaign_params(flags, config.nodes);
 
-  obs::RunManifest manifest =
-      manifest_from(flags, "fleet", config, seed, fleet.stream);
+  obs::RunManifest manifest = manifest_from(flags, "fleet", config, seed);
   manifest.threads = threads;
 
   runner::ParallelRunner pool(threads);
