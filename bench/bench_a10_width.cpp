@@ -91,6 +91,6 @@ int main(int argc, char** argv) {
               "hierarchical index at work). Pass cost should grow far "
               "slower than node count. RSS comparisons need "
               "bench_a8_scale --single.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
       "per side) already implies combined throughput >= 2/1.4 ~= 1.43, so "
       "the benefit gate only binds when asked for more than the safety "
       "gate guarantees.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

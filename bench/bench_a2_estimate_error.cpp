@@ -73,6 +73,6 @@ int main(int argc, char** argv) {
               "Looser estimates admit more sharing; timeouts stay at zero "
               "in every band because the cap never exceeds the estimate "
               "floor.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

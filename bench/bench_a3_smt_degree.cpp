@@ -65,6 +65,6 @@ int main(int argc, char** argv) {
               "issue capacity. Relaxing the cap to 1.8 shows how much "
               "sharing the safety gate was holding back, and at what cost "
               "(dilation, possible timeouts).");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -62,6 +62,6 @@ int main(int argc, char** argv) {
       "push jobs past tight walltimes (timeouts/lost work > 0); learned "
       "sits between them and converges toward oracle as the campaign "
       "progresses and pair history accumulates.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -70,6 +70,6 @@ int main(int argc, char** argv) {
               "while p95 can rise — aggressively backfilled work delays "
               "heads, the known fairness trade-off. Timeouts stay zero "
               "because reservations and kills still use the full request.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

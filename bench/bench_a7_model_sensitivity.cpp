@@ -81,6 +81,6 @@ int main(int argc, char** argv) {
       "coupling => more), but stay clearly positive with zero timeouts "
       "across the whole neighbourhood — the reproduction's shape does not "
       "depend on a single calibration point.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

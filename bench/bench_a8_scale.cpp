@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
       std::cout << "]";
     }
     std::cout << "}\n";
-    bench::finish(env);
+    bench::finish(env, flags);
     return 0;
   }
 
@@ -226,6 +226,6 @@ int main(int argc, char** argv) {
               "digest-checked against keep. The makespan column is shared "
               "by construction. Peak-RSS comparisons need --single (one "
               "process per configuration).");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -119,6 +119,6 @@ int main(int argc, char** argv) {
               "first row's. Speedup is relative to the first listed "
               "thread count. On a single-core host the curve is flat — "
               "the report column still proves thread-count independence.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -188,11 +188,12 @@ inline void emit(const Table& table, const BenchEnv& env,
   }
 }
 
-/// Observability epilogue, called once before a bench exits: writes the
-/// merged --metrics-json dump (manifest header + end-of-run getrusage
-/// process stats + registry instruments) and prints the --profile phase
-/// table. Both go to stderr so --csv stdout pipelines stay clean.
-inline void finish(const BenchEnv& env) {
+/// Epilogue, called once before a bench exits: writes the merged
+/// --metrics-json dump (manifest header + end-of-run getrusage process
+/// stats + registry instruments), prints the --profile phase table, and
+/// warns about every flag no getter read, as the cosched CLI does. All of
+/// it goes to stderr so --csv stdout pipelines stay clean.
+inline void finish(const BenchEnv& env, const Flags& flags) {
   if (env.registry != nullptr && !env.metrics_json.empty()) {
     std::ofstream out(env.metrics_json);
     if (!out.good()) {
@@ -208,6 +209,9 @@ inline void finish(const BenchEnv& env) {
     obs::set_profiling_enabled(false);
     const std::string report = obs::profiler_report();
     if (!report.empty()) std::cerr << report;
+  }
+  for (const std::string& name : flags.unused()) {
+    std::cerr << "warning: unused flag --" << name << "\n";
   }
 }
 

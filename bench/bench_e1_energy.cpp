@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
       "but finish the campaign sooner and waste less idle power, so work "
       "per kWh improves over their baselines. ('vs easy' compares rows "
       "after the easy row; earlier rows show '-'.)");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -61,6 +61,6 @@ int main(int argc, char** argv) {
                 best_pair.c_str(), best, worst_pair.c_str(), worst,
                 sum / count);
   }
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

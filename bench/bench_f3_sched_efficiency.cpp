@@ -46,6 +46,6 @@ int main(int argc, char** argv) {
                   "firstfit, fcfs worst; the co strategies exceed 1.0 "
                   "because SMT sharing packs more work than exclusive "
                   "machine-time allows.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -44,6 +44,6 @@ int main(int argc, char** argv) {
               "node-second yields one node-second of work); the co "
               "strategies extract extra throughput from the idle SMT "
               "threads — the paper's +19% computational-efficiency effect.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
               "SMT capacity keeps waits and makespan below easy's, and the "
               "crossover moves right — sharing effectively enlarges the "
               "machine.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

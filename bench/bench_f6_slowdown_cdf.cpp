@@ -41,6 +41,6 @@ int main(int argc, char** argv) {
                   "the heaviest tail; the co strategies dominate their "
                   "baselines at every percentile because queued jobs start "
                   "earlier on SMT slots.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

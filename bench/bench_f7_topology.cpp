@@ -56,6 +56,6 @@ int main(int argc, char** argv) {
       "compact placement trims mean dilation for both strategies, and the "
       "co-allocation advantage persists — locality penalties and SMT "
       "sharing compose rather than cancel.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -27,6 +27,6 @@ int main(int argc, char** argv) {
               "'self-pair tput' is the combined throughput of the app "
               "co-located with itself under 2-way SMT (< 1 means sharing "
               "with itself loses; the scheduler avoids such pairings).");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -95,6 +95,6 @@ int main(int argc, char** argv) {
           " seeds (mean [95% bootstrap CI]). The acceptance band is the "
           "paper's +19% / +25.2% / no-overhead result, to hold in shape: "
           "both efficiencies up by roughly 15-35%, timeouts unchanged.");
-  bench::finish(env);
+  bench::finish(env, flags);
   return 0;
 }

@@ -67,6 +67,8 @@ class SchedulerHost {
   virtual obs::Registry* registry() const { return nullptr; }
 
   // --- Actions ---------------------------------------------------------------
+  // Starts happen only inside Scheduler::schedule: the host settles rates
+  // and places completion events once, after schedule() returns.
 
   /// Starts a pending job on free nodes (primary/exclusive slots).
   virtual void start_primary(JobId id, const std::vector<NodeId>& nodes) = 0;

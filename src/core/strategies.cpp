@@ -123,8 +123,8 @@ const std::vector<JobId>& ConservativeBackfillScheduler::conservative_pass(
     const SimTime start =
         profile_.find_start(host.now(), job.walltime_limit, job.nodes);
     if (start == kTimeInfinity) {
-      // Currently unrunnable (nodes down); it holds no reservation and
-      // waits for the machine to change.
+      // Never fits: only a job wider than the whole profile gets here. It
+      // holds no reservation (one would end past kTimeInfinity).
       leftover_.push_back(id);
       continue;
     }
@@ -133,7 +133,10 @@ const std::vector<JobId>& ConservativeBackfillScheduler::conservative_pass(
     } else {
       // Either the profile says "later" or free primary slots disagreed
       // (should not happen — profile mirrors the machine); reserve at the
-      // computed start so later jobs cannot displace this one.
+      // computed start so later jobs cannot displace this one. A job that
+      // needs a down node starts "later" at kTimeInfinity / 2, where
+      // build_profile_into ends the down nodes' reservations, so it blocks
+      // no one until the node returns.
       profile_.reserve(start, start + job.walltime_limit, job.nodes);
       leftover_.push_back(id);
     }

@@ -321,7 +321,6 @@ void Controller::on_submit(JobId id) {
 void Controller::enqueue(JobId id) {
   entry(id).job.state = workload::JobState::kPending;
   pending_.push_back(id);
-  ++queue_generation_;
   request_schedule();
 }
 
@@ -391,20 +390,8 @@ bool Controller::pass_can_early_exit() const {
   // is the free-secondary scan). Sound under any queue policy:
   // order_queue sorts on a complete (priority, id) key, so skipping
   // intermediate re-sorts cannot change a later pass's order.
-  if (machine_.free_node_count() == 0 &&
-      (!places_secondaries_ || machine_.free_secondary_nodes().empty())) {
-    return true;
-  }
-  // Generation exit: the last pass started nothing, and neither the
-  // machine nor the queue changed since. Every schedule trigger bumps one
-  // of the two generations, so state the strategies read is identical and
-  // they would decide "no starts" again. Restricted to FIFO: under
-  // priority ordering the queue *order* can change with now() even when
-  // its membership did not (aging can move a different job to the EASY
-  // head).
-  return last_noop_valid_ && queue_policy_ == QueuePolicy::kFifo &&
-         machine_.generation() == last_noop_machine_gen_ &&
-         queue_generation_ == last_noop_queue_gen_;
+  return machine_.free_node_count() == 0 &&
+         (!places_secondaries_ || machine_.free_secondary_nodes().empty());
 }
 
 void Controller::run_scheduler_pass() {
@@ -415,9 +402,6 @@ void Controller::run_scheduler_pass() {
     // It has nothing to settle: every topology change outside a pass
     // already settled rates and completion events at its own instant.
     ++stats_.scheduler_passes;
-    last_noop_valid_ = true;
-    last_noop_machine_gen_ = machine_.generation();
-    last_noop_queue_gen_ = queue_generation_;
     return;
   }
   order_queue();
@@ -437,7 +421,6 @@ void Controller::run_scheduler_pass() {
                         static_cast<int>(machine_.free_secondary_nodes()
                                              .size()));
   }
-  in_pass_ = true;
   // Host clock measures real decision cost only; it never feeds back into
   // simulated state, so it cannot break determinism. Untraced runs skip
   // the clock reads entirely — two clock samples per pass are pure
@@ -458,7 +441,6 @@ void Controller::run_scheduler_pass() {
     pass_wall_ns = obs::detail::prof_now_ns() - t0_ns;
     stats_.scheduler_cpu += std::chrono::nanoseconds(pass_wall_ns);
   }
-  in_pass_ = false;
   // Starts changed co-residency; settle rates and completion events once
   // per pass rather than per start.
   {
@@ -483,16 +465,6 @@ void Controller::run_scheduler_pass() {
     // feed a decision).
     registry_->counter("index_blocks_skipped_wall")
         .inc(machine_.take_index_blocks_skipped());
-  }
-  // Record the no-op snapshot for the generation exit above. A pass that
-  // started nothing left both generations exactly as it found them.
-  if (stats_.primary_starts == primary_before &&
-      stats_.secondary_starts == secondary_before) {
-    last_noop_valid_ = true;
-    last_noop_machine_gen_ = machine_.generation();
-    last_noop_queue_gen_ = queue_generation_;
-  } else {
-    last_noop_valid_ = false;
   }
 }
 
@@ -562,9 +534,8 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
   live.kill_event =
       engine_.schedule_at(now() + j.walltime_limit, sim::EventPriority::kTimer,
                           "timeout", [this, id] { on_timeout(id); });
-  // Completion event placed by resync_completions() (rates are not final
-  // mid-pass); ensure the pass settles even for starts outside a pass.
-  if (!in_pass_) resync_completions();
+  // The completion event is placed by the pass's resync_completions()
+  // (rates are not final mid-pass).
   COSCHED_DEBUG("t=" << format_duration(now()) << " start job " << id
                      << (kind == cluster::AllocationKind::kSecondary
                              ? " (co-allocated)"
@@ -715,7 +686,6 @@ void Controller::requeue(JobId id) {
   ++j.requeues;
   ++stats_.requeues;
   pending_.push_back(id);
-  ++queue_generation_;
   COSCHED_INFO("t=" << format_duration(now()) << " job " << id
                     << " requeued after node failure (attempt "
                     << j.requeues + 1 << ")");
@@ -763,10 +733,7 @@ bool Controller::cancel(JobId id) {
     case workload::JobState::kPending: {
       // May be queued or waiting for its submit event; remove if queued.
       const auto q = std::find(pending_.begin(), pending_.end(), id);
-      if (q != pending_.end()) {
-        pending_.erase(q);
-        ++queue_generation_;
-      }
+      if (q != pending_.end()) pending_.erase(q);
       j.state = workload::JobState::kCancelled;
       if (spans_ != nullptr) {
         spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
@@ -820,7 +787,6 @@ void Controller::remove_pending(JobId id) {
   const auto it = std::find(pending_.begin(), pending_.end(), id);
   COSCHED_CHECK_MSG(it != pending_.end(), "job " << id << " not pending");
   pending_.erase(it);
-  ++queue_generation_;
 }
 
 }  // namespace cosched::slurmlite

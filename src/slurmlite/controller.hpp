@@ -351,7 +351,6 @@ class Controller final : public core::SchedulerHost,
   core::UsageTracker usage_;
   bool requeue_on_failure_;
   bool pass_scheduled_ = false;
-  bool in_pass_ = false;
   /// Attached arrival stream (submit_stream), nullptr once exhausted.
   workload::JobSource* stream_ = nullptr;
   /// The source submit_all attaches.
@@ -368,15 +367,6 @@ class Controller final : public core::SchedulerHost,
   obs::Counter* end_reschedules_ = nullptr;
   /// Submit index of every job ever registered, live or retired.
   std::unordered_map<JobId, std::size_t> submit_index_;
-  /// Pending-queue mutation counter (enqueue/requeue/cancel/remove);
-  /// paired with machine_.generation() for pass early-exit.
-  std::uint64_t queue_generation_ = 0;
-  /// Snapshot of (machine, queue) generations after the last pass that
-  /// started nothing; a pass arriving with both unchanged under FIFO is a
-  /// provable no-op. Invalidated by any pass that starts a job.
-  bool last_noop_valid_ = false;
-  std::uint64_t last_noop_machine_gen_ = 0;
-  std::uint64_t last_noop_queue_gen_ = 0;
   ControllerStats stats_;
   obs::Tracer* tracer_;      // non-owning, may be nullptr (config.tracer)
   obs::Registry* registry_;  // non-owning, may be nullptr (config.registry)

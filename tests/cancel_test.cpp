@@ -120,6 +120,39 @@ TEST(Cancel, ListArrivalNotYetPulledIsUnknown) {
   EXPECT_EQ(records[2].start_time, 2 * kHour);
 }
 
+TEST(Cancel, ClosesSpansOfPendingHeldAndRunningJobs) {
+  // One cancel down each of cancel's three paths, with a span ledger
+  // attached: every span must close, and only started jobs that ran to
+  // completion fold a wait.
+  sim::Engine engine;
+  obs::SpanLedger spans;
+  slurmlite::ControllerConfig config;
+  config.nodes = 2;
+  config.spans = &spans;
+  slurmlite::Controller controller(engine, config, trinity());
+  controller.submit(make_job(1, 1, 2 * kHour, 3 * kHour));  // runs
+  controller.submit(make_job(2, 1, kHour, 2 * kHour));      // runs
+  controller.submit(make_job(3, 2, kHour, 2 * kHour));      // pending
+  auto held = make_job(4, 1, kMinute, kHour);
+  held.depends_on = 2;
+  controller.submit(held);
+  controller.submit(make_job(5, 2, kHour, 2 * kHour));  // after job 3
+  engine.run_until(10 * kMinute);
+  EXPECT_EQ(spans.submitted(), 5u);
+  EXPECT_TRUE(controller.cancel(3));  // pending
+  EXPECT_TRUE(controller.cancel(4));  // held on job 2
+  EXPECT_TRUE(controller.cancel(1));  // running
+  engine.run();
+  const auto records = controller.job_records();
+  EXPECT_EQ(records[0].state, workload::JobState::kCancelled);
+  EXPECT_EQ(records[2].state, workload::JobState::kCancelled);
+  EXPECT_EQ(records[3].state, workload::JobState::kCancelled);
+  EXPECT_EQ(records[4].start_time, kHour);  // once job 2 freed its node
+  EXPECT_EQ(spans.open(), 0u);
+  EXPECT_EQ(spans.ended(), spans.submitted());
+  EXPECT_EQ(spans.wait().count(), 2u);  // jobs 2 and 5
+}
+
 TEST(Cancel, CancellingSecondaryRestoresPrimaryRate) {
   sim::Engine engine;
   slurmlite::ControllerConfig config;

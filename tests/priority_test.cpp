@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "audit/auditor.hpp"
 #include "core/priority.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -321,6 +322,41 @@ TEST(FailureInjection, SharedNodeFailureRequeuesBothJobs) {
   EXPECT_EQ(records[0].state, workload::JobState::kCompleted);
   EXPECT_EQ(records[1].state, workload::JobState::kCompleted);
   controller.machine_state().check_invariants();
+}
+
+// Conservative backfill while a node is down: the head needs every node,
+// so it waits (its reservation lies beyond the outage and blocks no one),
+// a narrower job behind it starts, and the head starts when the node
+// returns.
+TEST(FailureInjection, ConservativeHeadWaitsOutTheOutage) {
+  for (const core::StrategyKind strategy :
+       {core::StrategyKind::kConservativeBackfill,
+        core::StrategyKind::kCoConservative}) {
+    SCOPED_TRACE(core::to_string(strategy));
+    sim::Engine engine;
+    slurmlite::ControllerConfig config;
+    config.nodes = 4;
+    config.strategy = strategy;
+    config.failures = {{.node = 0, .at = 0, .duration = kHour}};
+    slurmlite::Controller controller(engine, config, trinity());
+    audit::StateAuditor auditor(controller);
+    engine.add_observer(&auditor);
+    auto head = make_job(1, 4, 30 * kMinute, kHour);
+    head.submit_time = 5 * kMinute;
+    auto narrow = make_job(2, 2, 20 * kMinute, 40 * kMinute);
+    narrow.submit_time = 5 * kMinute;
+    controller.submit(head);
+    controller.submit(narrow);
+    engine.run_until(30 * kMinute);
+    EXPECT_EQ(controller.job(1).state, workload::JobState::kPending);
+    engine.run();
+    const auto records = controller.job_records();
+    EXPECT_EQ(records[1].start_time, 5 * kMinute);
+    EXPECT_EQ(records[1].state, workload::JobState::kCompleted);
+    EXPECT_EQ(records[0].start_time, kHour);
+    EXPECT_EQ(records[0].state, workload::JobState::kCompleted);
+    EXPECT_EQ(controller.stats().node_failures, 1u);
+  }
 }
 
 TEST(FailureInjection, CampaignSurvivesRollingFailures) {
