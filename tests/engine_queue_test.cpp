@@ -1,8 +1,8 @@
-// Differential tests pinning the Engine's calendar queue to a plain
-// reference: a std::map keyed by (time, priority, id). The engine must pop
-// the exact same event sequence for any interleaving of schedules,
-// cancels, reschedules, duplicate timestamps, far-future events and purge
-// sweeps. End to end, the goldens pin the digests full simulations reach.
+// Differential tests pinning the Engine's event heap to a plain reference:
+// a std::map keyed by (time, priority, id). The engine must pop the exact
+// same event sequence for any interleaving of schedules, cancels,
+// reschedules, duplicate timestamps, far-future events and purge sweeps.
+// End to end, the goldens pin the digests full simulations reach.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -165,7 +165,7 @@ TEST(EngineQueueDifferential, RandomInterleavings) {
             base + rng.uniform_int(0, 5) * (kSecond / 4);
         pair.schedule(when, random_priority(rng), tag++);
       } else if (kind == 5) {
-        // Far-future event, well beyond any initial bucket window.
+        // Far-future event, hours to months beyond the near-future ones.
         const SimTime when =
             base + kSecond * rng.uniform_int(100'000, 10'000'000);
         pair.schedule(when, random_priority(rng), tag++);
@@ -205,15 +205,16 @@ TEST(EngineQueueDifferential, DuplicateTimestampBursts) {
 }
 
 TEST(EngineQueueDifferential, RescheduleEarlierAcrossRunUntil) {
-  // The cursor-regression path: run_until parks the calendar cursor past
-  // `now`, then a schedule lands behind it (a job-end moved earlier).
+  // run_until stops the clock between two pending events, then a schedule
+  // lands between `now` and the next pending one (a job-end moved
+  // earlier): it must still pop first.
   EnginePair pair;
   std::uint64_t tag = 0;
   pair.schedule(100 * kSecond, sim::EventPriority::kJobEnd, tag++);
   pair.schedule(200 * kSecond, sim::EventPriority::kJobEnd, tag++);
   pair.run_until_both(150 * kSecond);
   if (::testing::Test::HasFatalFailure()) return;
-  // Behind the parked cursor (bucket of 200s), ahead of now (150s).
+  // Before the next pending event (200s), after now (150s).
   pair.schedule(160 * kSecond, sim::EventPriority::kJobEnd, tag++);
   pair.schedule(155 * kSecond, sim::EventPriority::kSubmit, tag++);
   pair.schedule(200 * kSecond, sim::EventPriority::kSubmit, tag++);
@@ -221,8 +222,8 @@ TEST(EngineQueueDifferential, RescheduleEarlierAcrossRunUntil) {
 }
 
 TEST(EngineQueueDifferential, PurgeSweepsKeepPopOrder) {
-  // A purge filters the heap-ordered cursor bucket in place, so it must
-  // drop the bucket's heap flag; the live pop order must not move.
+  // A purge sweeps the tombstones out of a heap that has already popped
+  // and re-heaps what is left; the live pop order must not move.
   Pcg32 rng(0x9e7);
   EnginePair pair;
   std::uint64_t tag = 0;
@@ -231,7 +232,7 @@ TEST(EngineQueueDifferential, PurgeSweepsKeepPopOrder) {
     burst.push_back(pair.schedule(rng.uniform_int(0, kSecond - 1),
                                   random_priority(rng), tag++));
   }
-  pair.step_both();  // heapifies the cursor bucket
+  pair.step_both();  // the heap has popped once before the purge
   if (::testing::Test::HasFatalFailure()) return;
   std::vector<sim::EventId> far;
   for (int i = 0; i < 6000; ++i) {
@@ -240,7 +241,7 @@ TEST(EngineQueueDifferential, PurgeSweepsKeepPopOrder) {
         random_priority(rng), tag++));
   }
   // Tombstones overtake the live events partway through the far-future
-  // cancels, with half the cursor bucket already dead.
+  // cancels, with half the near-future burst already dead.
   for (std::size_t i = 1; i < burst.size(); i += 2) pair.cancel(burst[i]);
   for (sim::EventId id : far) pair.cancel(id);
   if (::testing::Test::HasFatalFailure()) return;
