@@ -1,10 +1,9 @@
 // R-A11: node-width sweep — pass cost as a function of machine width at a
-// fixed trace length, exercising the width-sublinear hot path (hierarchical
-// free-capacity index, Fenwick busy-ends order statistics, reused staging
+// fixed trace length, exercising the width-sublinear hot path (flat
+// free-capacity bitmaps, Fenwick busy-ends order statistics, reused staging
 // buffers; DESIGN.md "Node-width sublinear indexes"). Each cell runs the
 // production configuration (streaming ingestion, finished-job retirement)
-// once, with a private registry attached so the table can show the index
-// at work: summary blocks skipped per pass.
+// once, with a private registry attached so the table can count passes.
 //
 // Peak RSS is process-cumulative, so this sweep reports time and registry
 // quantities only; for honest per-configuration RSS use
@@ -46,8 +45,8 @@ int main(int argc, char** argv) {
       parse_list(flags.get_string("nodes-list", "1024,4096,16384,32768"));
   const int jobs = flags.get_int_in("jobs", 100000, 1);
 
-  Table t({"nodes", "jobs", "wall (s)", "sched (s)", "passes",
-           "blk skip/pass", "events", "makespan (h)"});
+  Table t({"nodes", "jobs", "wall (s)", "sched (s)", "passes", "events",
+           "makespan (h)"});
   for (const int nodes : node_list) {
     slurmlite::SimulationSpec spec;
     spec.controller.nodes = nodes;
@@ -65,32 +64,23 @@ int main(int argc, char** argv) {
     const auto result = slurmlite::run_stream(spec, catalog, source);
     const std::chrono::duration<double> wall = Clock::now() - start;
 
-    const double passes = registry.counter("scheduler_passes").value() > 0
-                              ? static_cast<double>(
-                                    registry.counter("scheduler_passes").value())
-                              : 1.0;
-    const double skipped = static_cast<double>(
-        registry.counter("index_blocks_skipped_wall").value());
     t.row()
         .add(nodes)
         .add(jobs)
         .add(wall.count(), 2)
         .add(std::chrono::duration<double>(result.stats.scheduler_cpu).count(),
              2)
-        .add(static_cast<std::int64_t>(passes))
-        .add(skipped / passes, 1)
+        .add(static_cast<std::int64_t>(
+            registry.counter("scheduler_passes").value()))
         .add(static_cast<std::int64_t>(result.events_executed))
         .add(result.metrics.makespan_s / 3600.0, 2);
   }
   bench::emit(t, env,
               "R-A11: node-width sweep (production fast path, " +
                   std::to_string(jobs) + " jobs/cell)",
-              "Each cell is one streamed, retiring simulation. 'blk "
-              "skip/pass' counts the empty 4096-id summary blocks the "
-              "free-capacity scans jumped over per scheduler pass (the "
-              "hierarchical index at work). Pass cost should grow far "
-              "slower than node count. RSS comparisons need "
-              "bench_a8_scale --single.");
+              "Each cell is one streamed, retiring simulation. Pass cost "
+              "should grow far slower than node count. RSS comparisons "
+              "need bench_a8_scale --single.");
   bench::finish(env, flags);
   return 0;
 }

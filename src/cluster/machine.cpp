@@ -23,7 +23,6 @@ Machine::Machine(int node_count, const NodeConfig& config,
   free_secondary_.reset(node_count);
   free_end_.assign(static_cast<std::size_t>(node_count), 0);
   node_busy_.assign(static_cast<std::size_t>(node_count), 0);
-  primary_job_.assign(static_cast<std::size_t>(node_count), kInvalidJob);
   node_gens_.assign(static_cast<std::size_t>(node_count), 0);
   node_dirty_flag_.assign(static_cast<std::size_t>(node_count), 0);
   for (int i = 0; i < node_count; ++i) {
@@ -47,18 +46,6 @@ const Node& Machine::node(NodeId id) const {
 Node& Machine::node_mutable(NodeId id) {
   COSCHED_CHECK(id >= 0 && id < node_count());
   return nodes_[static_cast<std::size_t>(id)];
-}
-
-int Machine::busy_node_count() const {
-  int n = 0;
-  for (const auto& node : nodes_) n += (node.job_count() > 0) ? 1 : 0;
-  return n;
-}
-
-int Machine::up_node_count() const {
-  int n = 0;
-  for (const auto& node : nodes_) n += node.is_down() ? 0 : 1;
-  return n;
 }
 
 std::optional<std::vector<NodeId>> Machine::find_free_nodes(int count) const {
@@ -125,29 +112,6 @@ std::optional<std::vector<NodeId>> Machine::find_free_nodes_compact(
   return std::nullopt;
 }
 
-std::optional<std::vector<NodeId>> Machine::find_shareable_nodes(
-    int count, util::FunctionRef<bool(JobId)> primary_ok) const {
-  COSCHED_CHECK(count > 0);
-  if (count > static_cast<int>(free_secondary_.size())) return std::nullopt;
-  std::vector<NodeId> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (NodeId id : free_secondary_) {
-    if (primary_ok && !primary_ok(primary_job_of(id))) continue;
-    out.push_back(id);
-    if (static_cast<int>(out.size()) == count) return out;
-  }
-  return std::nullopt;
-}
-
-std::vector<JobId> Machine::primaries_with_free_secondary() const {
-  std::vector<JobId> out;
-  for (NodeId id : free_secondary_) {
-    const JobId p = primary_job_of(id);
-    if (std::find(out.begin(), out.end(), p) == out.end()) out.push_back(p);
-  }
-  return out;
-}
-
 void Machine::allocate_primary(JobId job, const std::vector<NodeId>& nodes,
                                SimTime walltime_end) {
   COSCHED_CHECK_MSG(!allocations_.count(job),
@@ -180,15 +144,6 @@ void Machine::allocate_secondary(JobId job, const std::vector<NodeId>& nodes,
   }
 }
 
-void Machine::set_walltime_end(JobId job, SimTime walltime_end) {
-  const auto it = allocations_.find(job);
-  COSCHED_CHECK_MSG(it != allocations_.end(),
-                    "walltime change for unallocated job " << job);
-  if (it->second.walltime_end == walltime_end) return;
-  it->second.walltime_end = walltime_end;
-  for (NodeId id : it->second.nodes) resync_node(id);
-}
-
 Allocation Machine::release(JobId job) {
   auto it = allocations_.find(job);
   COSCHED_CHECK_MSG(it != allocations_.end(),
@@ -211,21 +166,6 @@ Allocation Machine::release(JobId job) {
 const Allocation* Machine::allocation(JobId job) const {
   auto it = allocations_.find(job);
   return it == allocations_.end() ? nullptr : &it->second;
-}
-
-std::vector<JobId> Machine::co_residents(JobId job) const {
-  const Allocation* alloc = allocation(job);
-  std::vector<JobId> out;
-  if (!alloc) return out;
-  for (NodeId id : alloc->nodes) {
-    for (JobId other : node(id).jobs()) {
-      if (other == job) continue;
-      if (std::find(out.begin(), out.end(), other) == out.end()) {
-        out.push_back(other);
-      }
-    }
-  }
-  return out;
 }
 
 void Machine::set_node_down(NodeId id, bool down) {
@@ -257,8 +197,6 @@ void Machine::resync_node(NodeId id) {
     node_dirty_flag_[static_cast<std::size_t>(id)] = 1;
     dirty_nodes_.push_back(id);
   }
-  // Residency mirror for the contiguous candidate scans.
-  primary_job_[static_cast<std::size_t>(id)] = n.primary_job();
   // Free-time cache: a node is tracked in busy_ends_ iff it is up and holds
   // at least one job (slot 0 occupied — secondaries imply a primary). Its
   // cached end is the latest resident walltime end, unclamped; queries
@@ -342,16 +280,12 @@ void Machine::check_invariants() const {
                                 << " which does not host it");
     }
   }
-  // Free-time index and residency mirror: recompute every node's cached
-  // state and the busy-ends multiset from scratch; all must match the
-  // maintained structure-of-arrays state.
+  // Free-time index: recompute every node's cached state and the busy-ends
+  // multiset from scratch; all must match the maintained
+  // structure-of-arrays state.
   std::vector<SimTime> expect_ends;
   for (const auto& node : nodes_) {
     const auto idx = static_cast<std::size_t>(node.id());
-    COSCHED_CHECK_MSG(primary_job_[idx] == node.primary_job(),
-                      "primary-job mirror drifted on node "
-                          << node.id() << ": cached " << primary_job_[idx]
-                          << " vs slot " << node.primary_job());
     const bool cached_busy = node_busy_[idx] != 0;
     const bool busy = !node.is_down() && !node.primary_free();
     COSCHED_CHECK_MSG(cached_busy == busy,
@@ -375,10 +309,6 @@ void Machine::check_invariants() const {
                     "busy-ends multiset drifted: holds "
                         << busy_ends_.size() << " entries, rescan found "
                         << expect_ends.size());
-  // The two-level free-capacity index: summary bitmaps and per-block
-  // popcounts must agree with the word arrays.
-  free_primary_.check_summary();
-  free_secondary_.check_summary();
 }
 
 }  // namespace cosched::cluster

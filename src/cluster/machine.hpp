@@ -3,15 +3,16 @@
 //
 // Scheduler-facing queries are served from an incrementally maintained
 // free-capacity index instead of O(nodes) rescans: two ordered id sets
-// (bitmaps, see id_set.hpp) track the nodes with a free primary slot and
-// the nodes with a free secondary slot. Nodes are homogeneous, so within
-// each set every member offers the same free hardware-thread count and the
-// sort key reduces to the node id — exactly the order the deterministic
-// lowest-id placement needs. Every mutation path (allocate, release with
-// promotion, node up/down) resyncs only the touched nodes, making updates
-// O(k) for a k-node allocation while find_free_nodes/find_shareable_nodes
-// walk free nodes only. check_invariants() cross-checks the index against
-// a brute-force rescan; tests/cluster_test.cpp fuzzes that agreement.
+// (flat bitmaps, see id_set.hpp) track the nodes with a free primary slot
+// and the nodes with a free secondary slot. Nodes are homogeneous, so
+// within each set every member offers the same free hardware-thread count
+// and the sort key reduces to the node id — exactly the order the
+// deterministic lowest-id placement needs. Every mutation path (allocate,
+// release with promotion, node up/down) resyncs only the touched nodes,
+// making updates O(k) for a k-node allocation while find_free_nodes and
+// the co-allocation scans walk free nodes only. check_invariants()
+// cross-checks the index against a brute-force rescan;
+// tests/cluster_test.cpp fuzzes that agreement.
 //
 // A second incremental structure serves the backfill strategies: each
 // node's free time (now for idle nodes, the max cached walltime end of its
@@ -35,7 +36,6 @@
 #include "cluster/node.hpp"
 #include "cluster/topology.hpp"
 #include "obs/trace.hpp"
-#include "util/function_ref.hpp"
 #include "util/types.hpp"
 
 namespace cosched::cluster {
@@ -78,12 +78,6 @@ class Machine {
     return static_cast<int>(free_primary_.size());
   }
 
-  /// Nodes that currently host at least one job.
-  int busy_node_count() const;
-
-  /// Up nodes (not down).
-  int up_node_count() const;
-
   /// Returns `count` node ids with free primary slots chosen under the
   /// placement policy, or nullopt if fewer exist. kLowestId returns the
   /// lowest-numbered free nodes; kCompact returns a placement spanning as
@@ -91,33 +85,10 @@ class Machine {
   /// switch suffices). Both are deterministic.
   std::optional<std::vector<NodeId>> find_free_nodes(int count) const;
 
-  /// Returns up to `count` node ids with a free secondary slot whose primary
-  /// job satisfies `primary_ok`, or nullopt if fewer than `count` qualify.
-  /// The predicate is borrowed for the call (non-owning FunctionRef: no
-  /// per-call allocation on the decision path).
-  std::optional<std::vector<NodeId>> find_shareable_nodes(
-      int count, util::FunctionRef<bool(JobId)> primary_ok) const;
-
-  /// All distinct primary jobs that currently have >= 1 node with a free
-  /// secondary slot. Used by pairing heuristics.
-  std::vector<JobId> primaries_with_free_secondary() const;
-
   /// Ids of nodes with a free secondary slot, ascending — the maintained
   /// index co-allocation candidate scans iterate instead of rescanning
   /// every node.
   const NodeIdSet& free_secondary_nodes() const { return free_secondary_; }
-
-  // --- Structure-of-arrays hot state ---------------------------------------
-  // Per-node state the schedulers touch on every pass lives in parallel
-  // flat arrays indexed by NodeId, so candidate scans and profile builds
-  // walk contiguous memory instead of chasing Node/slot vectors. The
-  // arrays are resynced by the same per-node discipline as the capacity
-  // index and cross-checked by check_invariants().
-
-  /// The job in node `id`'s primary slot (kInvalidJob when idle/down).
-  JobId primary_job_of(NodeId id) const {
-    return primary_job_[static_cast<std::size_t>(id)];
-  }
 
   // --- Free-time index ------------------------------------------------------
   // All queries take `now` so cached walltime ends in the past clamp to the
@@ -153,28 +124,20 @@ class Machine {
     return busy_ends_.to_sorted_vector();
   }
 
-  /// Empty summary blocks the free-capacity scans jumped over since the
-  /// last take (reporting only; feeds the index_blocks_skipped_wall
-  /// counter). See NodeIdSet::take_blocks_skipped for the threading rule.
-  std::uint64_t take_index_blocks_skipped() const {
-    return free_primary_.take_blocks_skipped() +
-           free_secondary_.take_blocks_skipped();
-  }
-
-  /// Nodes resynced (slot contents, up/down state, or a resident's
-  /// walltime end) since the last clear_dirty_nodes(), deduplicated, in
-  /// first-touch order. The controller drains this into the execution
-  /// model's incremental rate refresh: only jobs resident on a dirty node
-  /// can have moved their max node generation, so the pair (dirty list,
-  /// per-job generation memo) recomputes exactly the rates the full scan
-  /// would. An over-full list is harmless (the memo re-skips unchanged
-  /// jobs); a missed node would be a bug, so every mutation path funnels
-  /// through resync_node, which appends here.
+  /// Nodes resynced (slot contents or up/down state) since the last
+  /// clear_dirty_nodes(), deduplicated, in first-touch order. The
+  /// controller drains this into the execution model's incremental rate
+  /// refresh: only jobs resident on a dirty node can have moved their max
+  /// node generation, so the pair (dirty list, per-job generation memo)
+  /// recomputes exactly the rates the full scan would. An over-full list
+  /// is harmless (the memo re-skips unchanged jobs); a missed node would
+  /// be a bug, so every mutation path funnels through resync_node, which
+  /// appends here.
   std::span<const NodeId> dirty_nodes() const { return dirty_nodes_; }
   void clear_dirty_nodes();
 
   /// Monotone counter bumped on every state mutation (allocate, release,
-  /// node up/down, walltime change). Equal values mean "nothing changed".
+  /// node up/down). Equal values mean "nothing changed".
   std::uint64_t generation() const { return generation_; }
 
   /// Process-unique id of this Machine instance (assigned at construction,
@@ -183,12 +146,11 @@ class Machine {
   /// histories happen to coincide. Never feeds any scheduling decision.
   std::uint64_t instance_id() const { return instance_id_; }
 
-  /// Generation stamp of the node's last mutation (slot contents, up/down
-  /// state, or a resident's walltime end): the global generation() value
-  /// at that resync. Stamps are globally unique and monotone, so
-  /// max(node_generation) over any node set moves whenever any member
-  /// changes — the execution model keys its co-run rate memoization on
-  /// exactly that max.
+  /// Generation stamp of the node's last mutation (slot contents or
+  /// up/down state): the global generation() value at that resync. Stamps
+  /// are globally unique and monotone, so max(node_generation) over any
+  /// node set moves whenever any member changes — the execution model keys
+  /// its co-run rate memoization on exactly that max.
   std::uint64_t node_generation(NodeId id) const {
     return node_gens_[static_cast<std::size_t>(id)];
   }
@@ -205,18 +167,11 @@ class Machine {
   void allocate_secondary(JobId job, const std::vector<NodeId>& nodes,
                           SimTime walltime_end = kTimeInfinity);
 
-  /// Walltime-extend path: moves an allocated job's cached walltime end and
-  /// resyncs the free-time index on its nodes.
-  void set_walltime_end(JobId job, SimTime walltime_end);
-
   /// Releases all slots held by `job`. Returns its (removed) allocation.
   Allocation release(JobId job);
 
   /// The allocation of a running job; nullptr if not allocated.
   const Allocation* allocation(JobId job) const;
-
-  /// All jobs co-resident with `job` (sharing at least one node).
-  std::vector<JobId> co_residents(JobId job) const;
 
   /// Failure injection: take a node out of / back into service.
   /// The node must be empty to go down.
@@ -262,9 +217,6 @@ class Machine {
   /// statistics).
   std::vector<SimTime> free_end_;     ///< valid iff node_busy_[id]
   std::vector<std::uint8_t> node_busy_;
-  /// Residency mirror: each node's primary-slot job, so candidate scans
-  /// read one contiguous array instead of Node::slots_ vectors.
-  std::vector<JobId> primary_job_;
   /// Order statistics over busy nodes' ends: Fenwick calendar buckets
   /// (see busy_ends.hpp).
   BusyEnds busy_ends_;

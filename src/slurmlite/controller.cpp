@@ -459,12 +459,6 @@ void Controller::run_scheduler_pass() {
         ->histogram("pass_wall_us",
                     {10, 50, 100, 500, 1000, 5000, 10000, 100000})
         .observe(static_cast<double>(pass_wall_ns / 1000));
-    // Index effectiveness, a host-side quantity: the `_wall` suffix
-    // excludes it from byte-compared registry dumps (skip counts depend
-    // on which scans the strategy happened to run before a hit, and never
-    // feed a decision).
-    registry_->counter("index_blocks_skipped_wall")
-        .inc(machine_.take_index_blocks_skipped());
   }
 }
 
@@ -493,9 +487,9 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
     const auto pair_with = [](Live& paired, AppId app) {
       if (paired.partner == kNoPartner) paired.partner = app;
     };
-    pair_with(live, job(machine_.primary_job_of(nodes.front())).app);
+    pair_with(live, job(machine_.node(nodes.front()).primary_job()).app);
     for (NodeId n : nodes) {
-      const JobId p = machine_.primary_job_of(n);
+      const JobId p = machine_.node(n).primary_job();
       if (p != id) pair_with(entry(p), j.app);
     }
   }

@@ -5,15 +5,15 @@
 // share, in any slot — whose walltime ends tie often and are sometimes
 // infinite. Each machine then runs a pass-like script: several candidates
 // per machine state, secondary and primary starts and releases between
-// them (so the table refreshes mid-pass), walltime moves on residents,
-// idle nodes going down and up, clock moves, and, in learned mode, a pair
-// estimator that learns between calls. Every call must
-// choose the same nodes and emit the same co_decision bytes as the
-// reference. Each step also asks once with nothing attached, the one call
-// a held rejection may answer; the fuzzer keeps its own record of the
-// rejections the table holds and checks the reference rejects wherever
-// one applies. One CoAllocator per configuration serves every machine, so
-// switching machines is exercised too.
+// them (so the table refreshes mid-pass), idle nodes going down and up,
+// clock moves, and, in learned mode, a pair estimator that learns between
+// calls. Every call must choose the same nodes and emit the same
+// co_decision bytes as the reference. Each step also asks once with
+// nothing attached, the one call a held rejection may answer; the fuzzer
+// keeps its own record of the rejections the table holds and checks the
+// reference rejects wherever one applies. One CoAllocator per
+// configuration serves every machine, so switching machines is exercised
+// too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,7 +73,6 @@ struct Coverage {
   int fence_ties = 0;  ///< candidate walltime end == a resident's end
   int infinite_fences = 0;
   int mid_pass_starts = 0;
-  int walltime_moves = 0;
   int node_toggles = 0;
   int held = 0;  ///< unobserved calls a held rejection answers
   std::string reasons;  ///< every co_decision line, concatenated
@@ -241,12 +240,6 @@ class Fuzzer {
       host.release(done);
       std::erase(running_, done);
     }
-    if (rng_.next_below(6) == 0 && !running_.empty()) {
-      // F moves while membership and signature stay: the node's row must
-      // be re-keyed, not kept.
-      host.set_walltime_end(pick_running(), pick_end(host));
-      ++cov.walltime_moves;
-    }
     if (rng_.next_below(6) == 0) {
       // Stamps move on a node that has no row to file, down or back up.
       const auto n = static_cast<NodeId>(rng_.next_below(
@@ -376,7 +369,6 @@ TEST_P(CoScanFuzz, GateTableMatchesNodeByNodeScan) {
   EXPECT_GT(cov.fence_ties, 100);
   EXPECT_GT(cov.infinite_fences, 10);
   EXPECT_GT(cov.mid_pass_starts, 500);
-  EXPECT_GT(cov.walltime_moves, 300);
   EXPECT_GT(cov.node_toggles, 100);
   if (gate != core::GateMode::kLearned) {
     EXPECT_GT(cov.held, 200);
@@ -779,7 +771,6 @@ TEST(CoScanTable, EveryMachineMoveDropsHeldRejections) {
        }},
       {"release", [](FuzzHost& h) { h.release(2); }},
       {"node toggle", [](FuzzHost& h) { h.set_node_down(3, true); }},
-      {"walltime move", [](FuzzHost& h) { h.set_walltime_end(1, 20 * kHour); }},
   };
   for (const auto& [name, move] : moves) {
     FuzzHost host(4, 2);

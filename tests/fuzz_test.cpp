@@ -11,6 +11,7 @@
 #include "core/profile.hpp"
 #include "sim/engine.hpp"
 #include "slurmlite/simulation.hpp"
+#include "test_support.hpp"
 #include "util/rng.hpp"
 #include "workload/campaign.hpp"
 #include "workload/generator.hpp"
@@ -155,7 +156,7 @@ TEST_P(MachineFuzz, InvariantsUnderRandomOperations) {
       }
     } else if (roll < 0.6) {  // try secondary allocation
       const int want = static_cast<int>(rng.uniform_int(1, 3));
-      if (auto nodes = machine.find_shareable_nodes(want, nullptr)) {
+      if (auto nodes = testing::first_shareable(machine, want)) {
         machine.allocate_secondary(next, *nodes);
         secondaries.push_back(next++);
       }

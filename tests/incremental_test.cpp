@@ -2,9 +2,9 @@
 //
 // Three families:
 //   1. Machine free-time index fuzz: after every randomized mutation
-//      (allocate primary/secondary, release, node down/up, walltime
-//      extend), the incremental per-node free times, order statistics,
-//      and sorted busy ends must equal a from-scratch recompute.
+//      (allocate primary/secondary, release, node down/up), the
+//      incremental per-node free times, order statistics, and sorted busy
+//      ends must equal a from-scratch recompute.
 //   2. Shadow/profile differential: compute_shadow (served from the
 //      index) must agree exactly with compute_shadow_reference (the
 //      node_free_times + nth_element rebuild in shadow_reference.hpp) on
@@ -112,8 +112,7 @@ TEST(FreeTimeIndex, FuzzAgainstFromScratchRebuild) {
       }
     } else if (op == 4) {  // allocate secondary on shareable nodes
       const int want = static_cast<int>(rng.uniform_int(1, 3));
-      const auto nodes =
-          m.find_shareable_nodes(want, [](JobId) { return true; });
+      const auto nodes = testing::first_shareable(m, want);
       if (nodes.has_value()) {
         const SimTime end = now + rng.uniform_int(1, 500);
         m.allocate_secondary(next_job, *nodes, end);
@@ -124,10 +123,6 @@ TEST(FreeTimeIndex, FuzzAgainstFromScratchRebuild) {
           rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
       m.release(live[pick]);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else if (op == 7 && !live.empty()) {  // walltime extend / shrink
-      const std::size_t pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-      m.set_walltime_end(live[pick], now + rng.uniform_int(1, 800));
     } else {  // toggle an empty node down/up
       const NodeId id =
           static_cast<NodeId>(rng.uniform_int(0, kNodes - 1));

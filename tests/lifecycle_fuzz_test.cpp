@@ -22,6 +22,7 @@ const apps::Catalog& trinity() {
 
 // --- ExecutionModel under random start/finish churn --------------------------------
 
+using cosched::testing::first_shareable;
 using cosched::testing::refresh_all;
 
 bool contains(const std::vector<JobId>& ids, JobId id) {
@@ -64,7 +65,7 @@ TEST_P(ExecutionFuzz, ProgressInvariantsUnderChurn) {
       }
     } else if (roll < 0.55) {  // co-allocate if possible
       const int want = static_cast<int>(rng.uniform_int(1, 2));
-      if (auto nodes = machine.find_shareable_nodes(want, nullptr)) {
+      if (auto nodes = first_shareable(machine, want)) {
         auto job = make_job(next, want, kHour, 3 * kHour,
                             static_cast<AppId>(next % trinity().size()));
         machine.allocate_secondary(job.id, *nodes);

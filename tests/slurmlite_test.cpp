@@ -281,6 +281,47 @@ TEST(Controller, PromotionAfterPrimaryCompletes) {
   EXPECT_GT(records[1].observed_dilation, 1.0);
 }
 
+// Co-location partners reach the pair estimator through the controller. A
+// secondary's partner is the primary on its first node; every primary it
+// joins that has no partner yet takes the secondary's app, and keeps it
+// when a later secondary joins. Each attempt's pair is observed when it
+// ends, through a walltime kill as well as a completion.
+TEST(Controller, PartnerAttributionFeedsThePairEstimator) {
+  ControllerConfig config = small_config(core::StrategyKind::kCoFirstFit);
+  config.nodes = 2;
+  config.node_config.smt_per_core = 2;  // one secondary slot per node
+  sim::Engine engine;
+  Controller controller(engine, config, trinity());
+  const AppId gtc = app_id("GTC");
+  const AppId minife = app_id("miniFE");
+  const AppId later = app_id("miniGhost");
+  // Two long GTC primaries, one per node.
+  controller.submit(make_job(1, 1, 3 * kHour, 4 * kHour, gtc));
+  controller.submit(make_job(2, 1, 3 * kHour, 4 * kHour, gtc));
+  // miniFE joins both primaries at once.
+  controller.submit(make_job(3, 2, 20 * kMinute, 40 * kMinute, minife));
+  // Joins both primaries once miniFE is gone; its walltime is too short
+  // for its dilated run, so it is killed.
+  controller.submit(make_job(4, 2, 30 * kMinute, 31 * kMinute, later));
+  engine.run();
+
+  const auto records = controller.job_records();
+  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records[2].alloc_kind, cluster::AllocationKind::kSecondary);
+  ASSERT_EQ(records[3].alloc_kind, cluster::AllocationKind::kSecondary);
+  EXPECT_GE(records[3].start_time, records[2].end_time);
+  EXPECT_LT(records[3].end_time, records[0].end_time);
+  EXPECT_LT(records[3].end_time, records[1].end_time);
+  EXPECT_EQ(records[3].state, workload::JobState::kTimeout);
+
+  const interference::PairEstimator& estimator = *controller.pair_estimator();
+  EXPECT_EQ(estimator.estimate(minife, gtc).samples, 1);  // job 3
+  EXPECT_EQ(estimator.estimate(gtc, minife).samples, 2);  // jobs 1 and 2
+  EXPECT_EQ(estimator.estimate(later, gtc).samples, 1);   // job 4's kill
+  EXPECT_EQ(estimator.estimate(gtc, later).samples, 0);   // first partner kept
+  EXPECT_EQ(estimator.total_observations(), 4u);
+}
+
 // running_ids() and squeue list running jobs in submit order, whatever
 // order they started, ended or restarted in. Ids fall as submit order
 // rises, so a list in id order or in hash order fails.

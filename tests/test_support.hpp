@@ -4,6 +4,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,6 +46,19 @@ inline std::vector<JobId> refresh_all(slurmlite::ExecutionModel& exec,
   const std::span<const JobId> moved = exec.refresh_rates(all, now);
   machine.clear_dirty_nodes();
   return {moved.begin(), moved.end()};
+}
+
+/// The `count` lowest-id nodes with a free secondary slot, or nullopt if
+/// fewer exist: the placement the fuzzers co-allocate onto.
+inline std::optional<std::vector<NodeId>> first_shareable(
+    const cluster::Machine& machine, int count) {
+  std::vector<NodeId> out;
+  for (NodeId id : machine.free_secondary_nodes()) {
+    if (static_cast<int>(out.size()) == count) break;
+    out.push_back(id);
+  }
+  if (static_cast<int>(out.size()) < count) return std::nullopt;
+  return out;
 }
 
 /// A SchedulerHost over an in-memory machine and job table. Start actions
@@ -101,14 +115,6 @@ class FakeHost : public core::SchedulerHost {
   void release(JobId id) {
     machine_.release(id);
     jobs_.at(id).state = workload::JobState::kCompleted;
-  }
-
-  /// Moves a running job's walltime end, as a walltime extension does:
-  /// on the job this host reports and in the machine's free-time index.
-  void set_walltime_end(JobId id, SimTime end) {
-    workload::Job& j = jobs_.at(id);
-    j.walltime_limit = end - j.start_time;
-    machine_.set_walltime_end(id, end);
   }
 
   /// Takes an empty node out of service or puts it back.

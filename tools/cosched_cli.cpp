@@ -413,7 +413,8 @@ int cmd_fleet(const Flags& flags) {
 }
 
 // Aligns two trace streams and reports the first divergent record with
-// decoded context. Exit 0 identical, 1 divergent, 2 usage.
+// decoded context. Exit 0 identical, 1 divergent, 2 usage (including an
+// unreadable file: A is read before B, and the first that fails is named).
 int cmd_diff(const Flags& flags) {
   const auto& positional = flags.positional();
   if (positional.size() != 2) {
@@ -421,18 +422,21 @@ int cmd_diff(const Flags& flags) {
                  "[--context N]\n";
     return 2;
   }
-  const auto read_all = [](const std::string& path) {
-    std::ifstream in(path);
-    if (!in.good()) throw Error("cannot read '" + path + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-  };
   obs::DiffOptions opts;
   opts.context = flags.get_int_in("context", 3, 0);
-  const obs::DiffResult result =
-      obs::diff_streams(positional[0], read_all(positional[0]),
-                        positional[1], read_all(positional[1]), opts);
+  std::string text[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    std::ifstream in(positional[i]);
+    if (!in.good()) {
+      std::cerr << "error: cannot read '" << positional[i] << "'\n";
+      return 2;
+    }
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    text[i] = buffer.str();
+  }
+  const obs::DiffResult result = obs::diff_streams(
+      positional[0], text[0], positional[1], text[1], opts);
   std::cout << result.report;
   return result.identical ? 0 : 1;
 }

@@ -287,10 +287,10 @@ void scan_raw_stdio(const std::vector<Token>& tokens, const SourceFile& file,
 /// The simulation and strategy hot paths must not construct std::function:
 /// each one heap-allocates its callable (the sim::Engine replaced exactly
 /// that with a pooled slab — see src/sim/engine.hpp). Event payloads go
-/// through Engine::schedule_at's templated parameter; non-owning callable
-/// parameters use util::FunctionRef. Deliberate seams (cold setup code
-/// that genuinely needs ownership) opt out with
-/// `cosched-lint: allow(no-std-function)`.
+/// through Engine::schedule_at's templated parameter; a callable passed
+/// down one call takes a template parameter (as Machine::for_each_busy_end
+/// does). Deliberate seams (cold setup code that genuinely needs
+/// ownership) opt out with `cosched-lint: allow(no-std-function)`.
 void scan_std_function(const std::vector<Token>& tokens,
                        const SourceFile& file,
                        std::vector<Finding>& findings) {
@@ -304,8 +304,8 @@ void scan_std_function(const std::vector<Token>& tokens,
     findings.push_back(
         {file.path, t.line, t.col, "no-std-function",
          "std::function in a hot path heap-allocates per callable",
-         "use the engine's pooled schedule_at or util::FunctionRef "
-         "(non-owning)"});
+         "use the engine's templated schedule_at, or take the callable "
+         "as a template parameter"});
   }
 }
 
