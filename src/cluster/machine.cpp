@@ -187,10 +187,9 @@ void Machine::resync_node(NodeId id) {
     free_secondary_.erase(id);
   }
   // Stamp the node with the post-increment *global* generation rather than
-  // an independent per-node counter. Consumers key memo entries on
-  // max(node_generation over an allocation); with independent counters a
-  // bump on a low-counter node could be masked by a sibling's higher value.
-  // Globally-unique monotone stamps make that max move on every change.
+  // an independent per-node counter, so a stamp compares with generation():
+  // the nodes stamped above a remembered generation are exactly those that
+  // changed since (the co-allocation table's incremental refresh).
   node_gens_[static_cast<std::size_t>(id)] = ++generation_;
   // Accumulate for the incremental rate refresh (see dirty_nodes()).
   if (node_dirty_flag_[static_cast<std::size_t>(id)] == 0) {

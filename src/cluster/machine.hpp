@@ -22,8 +22,8 @@
 // build_profile iterates the sorted ends directly, so per-pass cost tracks
 // the number of *busy* nodes and their churn instead of machine size (see
 // DESIGN.md "Incremental scheduler state"). Generation counters (global
-// and per node) let the controller detect "nothing changed" between passes
-// and the execution model memoize co-run rates.
+// and per node) let the co-allocation table re-file only the nodes that
+// changed since its last refresh.
 #pragma once
 
 #include <optional>
@@ -127,12 +127,12 @@ class Machine {
   /// Nodes resynced (slot contents or up/down state) since the last
   /// clear_dirty_nodes(), deduplicated, in first-touch order. The
   /// controller drains this into the execution model's incremental rate
-  /// refresh: only jobs resident on a dirty node can have moved their max
-  /// node generation, so the pair (dirty list, per-job generation memo)
-  /// recomputes exactly the rates the full scan would. An over-full list
-  /// is harmless (the memo re-skips unchanged jobs); a missed node would
-  /// be a bug, so every mutation path funnels through resync_node, which
-  /// appends here.
+  /// refresh: only a job resident on a dirty node can have a new co-run
+  /// rate, so recomputing the residents of this list settles exactly what
+  /// a full scan would (ExecutionFuzz.DirtyListRefreshMatchesFullScan). An
+  /// over-full list is harmless (an unchanged rate compares equal and
+  /// keeps its epoch); a missed node would be a bug, so every mutation
+  /// path funnels through resync_node, which appends here.
   std::span<const NodeId> dirty_nodes() const { return dirty_nodes_; }
   void clear_dirty_nodes();
 
@@ -148,9 +148,8 @@ class Machine {
 
   /// Generation stamp of the node's last mutation (slot contents or
   /// up/down state): the global generation() value at that resync. Stamps
-  /// are globally unique and monotone, so max(node_generation) over any
-  /// node set moves whenever any member changes — the execution model keys
-  /// its co-run rate memoization on exactly that max.
+  /// are globally unique and monotone, so the nodes stamped above a
+  /// remembered generation() are exactly those changed since.
   std::uint64_t node_generation(NodeId id) const {
     return node_gens_[static_cast<std::size_t>(id)];
   }

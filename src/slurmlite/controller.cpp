@@ -245,7 +245,7 @@ audit::StateCounts Controller::audit_state_counts() const {
 
 std::vector<JobId> Controller::running_ids() const {
   std::vector<std::pair<std::size_t, JobId>> running;
-  running.reserve(execution_.running_count());
+  running.reserve(running_count_);
   // Hash order is undone by the sort on submit index below.
   for (const auto& [id, live] : jobs_) {  // cosched-lint: allow(no-unordered-iteration)
     if (live.job.state == workload::JobState::kRunning) {
@@ -416,7 +416,7 @@ void Controller::run_scheduler_pass() {
   const std::size_t primary_before = stats_.primary_starts;
   const std::size_t secondary_before = stats_.secondary_starts;
   if (tracer_ != nullptr) {
-    tracer_->pass_begin(pass, pending_.size(), execution_.running_count(),
+    tracer_->pass_begin(pass, pending_.size(), running_count_,
                         machine_.free_node_count(),
                         static_cast<int>(machine_.free_secondary_nodes()
                                              .size()));
@@ -522,7 +522,8 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
         .observe(wait_s);
   }
   // A requeued job restores its checkpoint credit.
-  execution_.start(j, now(), live.resume_progress);
+  live.epoch = execution_.start(j, now(), live.resume_progress);
+  ++running_count_;
 
   // Walltime enforcement.
   live.kill_event =
@@ -546,8 +547,9 @@ void Controller::start_secondary(JobId id, const std::vector<NodeId>& nodes) {
 
 void Controller::resync_completions() {
   const std::uint64_t rate_changes_before = execution_.rate_changes();
-  const std::span<const JobId> moved =
-      execution_.refresh_rates(machine_.dirty_nodes(), now());
+  const std::span<const JobId> moved = execution_.refresh_rates(
+      machine_.dirty_nodes(), now(),
+      [this](JobId id) -> Epoch& { return entry(id).epoch; });
   machine_.clear_dirty_nodes();
   if (rate_changes_ != nullptr) {
     rate_changes_->inc(execution_.rate_changes() - rate_changes_before);
@@ -567,7 +569,7 @@ void Controller::resync_completions() {
     }
     const JobId id = live->job.id;
     live->end_event = engine_.schedule_at(
-        execution_.predicted_end(id), sim::EventPriority::kJobEnd, "job_end",
+        live->epoch.predicted_end(), sim::EventPriority::kJobEnd, "job_end",
         [this, id] { on_complete(id); });
   }
 }
@@ -578,11 +580,11 @@ void Controller::on_complete(JobId id) {
   COSCHED_CHECK(j.state == workload::JobState::kRunning);
   // The completion event is only scheduled from settled rates, so the
   // remaining work must be (numerically) zero.
-  const double left = execution_.remaining_work_s(id, now());
+  const double left = live.epoch.remaining_work_s(now());
   COSCHED_CHECK_MSG(left < 1e-3, "completion fired with "
                                      << left << "s of work left on job "
                                      << id);
-  j.observed_dilation = execution_.observed_dilation(id, now());
+  j.observed_dilation = live.epoch.observed_dilation(now());
   j.state = workload::JobState::kCompleted;
   j.end_time = now();
   ++stats_.completions;
@@ -600,9 +602,11 @@ void Controller::on_complete(JobId id) {
   retire_job(live);
 }
 
-void Controller::mark_timeout(JobId id, workload::Job& j) {
+void Controller::mark_timeout(Live& live) {
+  workload::Job& j = live.job;
+  const JobId id = j.id;
   COSCHED_CHECK(j.state == workload::JobState::kRunning);
-  j.observed_dilation = execution_.observed_dilation(id, now());
+  j.observed_dilation = live.epoch.observed_dilation(now());
   j.state = workload::JobState::kTimeout;
   j.end_time = now();
   ++stats_.timeouts;
@@ -614,10 +618,10 @@ void Controller::mark_timeout(JobId id, workload::Job& j) {
 void Controller::on_timeout(JobId id) {
   Live& live = entry(id);
   workload::Job& j = live.job;
-  mark_timeout(id, j);
+  mark_timeout(live);
   COSCHED_WARN("t=" << format_duration(now()) << " job " << id
                     << " hit its walltime limit with "
-                    << execution_.remaining_work_s(id, now())
+                    << live.epoch.remaining_work_s(now())
                     << "s of work left");
 
   const std::optional<AppId> partner = end_attempt(live);
@@ -635,7 +639,7 @@ std::optional<AppId> Controller::end_attempt(Live& live) {
   engine_.cancel(live.kill_event);
   engine_.cancel(live.end_event);
   live.kill_event = live.end_event = sim::kInvalidEvent;
-  execution_.finish(j.id);
+  --running_count_;
   meter_.vacate(j.alloc_nodes, now());
   machine_.release(j.id);
   usage_.charge(j.user,
@@ -664,7 +668,7 @@ void Controller::requeue(JobId id) {
       const double fraction = static_cast<double>(checkpointed) /
                               static_cast<double>(elapsed);
       double& resume = live.resume_progress;  // 0 unless restored before
-      resume += (execution_.progress_s(id, now()) - resume) * fraction;
+      resume += (live.epoch.progress_s(now()) - resume) * fraction;
     }
   }
   // The aborted attempt's machine time is charged; it makes no pair
@@ -699,7 +703,7 @@ void Controller::on_node_fail(NodeId node, SimDuration duration) {
       // Killed like a walltime timeout, but a node failure says nothing
       // about the pair, so the estimator gets no observation.
       Live& live = entry(id);
-      mark_timeout(id, live.job);
+      mark_timeout(live);
       end_attempt(live);
       settle_dependents(live, /*success=*/false);
       retire_job(live);
@@ -749,7 +753,7 @@ bool Controller::cancel(JobId id) {
       return true;
     }
     case workload::JobState::kRunning: {
-      j.observed_dilation = execution_.observed_dilation(id, now());
+      j.observed_dilation = live.epoch.observed_dilation(now());
       j.state = workload::JobState::kCancelled;
       j.end_time = now();
       if (spans_ != nullptr) {
@@ -772,7 +776,7 @@ obs::SnapshotSource::Sample Controller::snapshot_sample() const {
   s.total_nodes = machine_.node_count();
   s.busy_nodes = machine_.node_count() - machine_.free_node_count();
   s.pending = static_cast<std::int64_t>(pending_.size());
-  s.running = static_cast<std::int64_t>(execution_.running_count());
+  s.running = static_cast<std::int64_t>(running_count_);
   s.resident_jobs = static_cast<std::int64_t>(jobs_.size());
   return s;
 }

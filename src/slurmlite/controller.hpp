@@ -184,7 +184,6 @@ class Controller final : public core::SchedulerHost,
 
   const ControllerStats& stats() const { return stats_; }
   const cluster::Machine& machine_state() const { return machine_; }
-  const ExecutionModel& execution() const { return execution_; }
 
   /// Jobs currently pending / running (for squeue-style displays).
   std::vector<JobId> pending_ids() const { return pending_; }
@@ -242,6 +241,9 @@ class Controller final : public core::SchedulerHost,
     /// places the completion event once the start's rates are settled.
     sim::EventId kill_event = sim::kInvalidEvent;
     sim::EventId end_event = sim::kInvalidEvent;
+    /// The running attempt's rate epoch (ExecutionModel::start); read only
+    /// while the job runs.
+    Epoch epoch;
     /// Checkpointed progress (exclusive-seconds) a requeued job resumes
     /// from.
     double resume_progress = 0;
@@ -293,15 +295,15 @@ class Controller final : public core::SchedulerHost,
   /// Ends the job's running attempt at now(), the one teardown every exit
   /// from kRunning shares: cancels its walltime-kill and completion
   /// events (cancelling the event whose handler is running is a no-op),
-  /// closes its execution epoch, vacates the occupancy meter, releases its
-  /// nodes and charges the attempt's node-time to fair-share usage.
+  /// vacates the occupancy meter, releases its nodes and charges the
+  /// attempt's node-time to fair-share usage.
   /// Returns the attempt's partner app, if it shared a node, and clears
   /// it. Callers settle rates afterwards.
   std::optional<AppId> end_attempt(Live& live);
   /// Marks a running job killed at now() (walltime or node failure):
   /// state, end time and dilation, the `timeout` trace record, span and
   /// counters.
-  void mark_timeout(JobId id, workload::Job& j);
+  void mark_timeout(Live& live);
   /// Re-ranks pending_ under the configured queue policy.
   void order_queue();
   /// Records the job's final state into the digest/state/metrics side
@@ -324,6 +326,8 @@ class Controller final : public core::SchedulerHost,
 
   /// In-flight jobs; a job leaves at retirement.
   std::unordered_map<JobId, Live> jobs_;
+  /// Jobs in kRunning (entries of jobs_ with a live epoch).
+  std::size_t running_count_ = 0;
   /// !ControllerConfig::retire_finished.
   const bool keep_records_;
   /// Retired records by submit index, grown only when records are kept.

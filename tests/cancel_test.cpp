@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/strategies.hpp"
 #include "slurmlite/controller.hpp"
 #include "test_support.hpp"
@@ -154,26 +156,37 @@ TEST(Cancel, ClosesSpansOfPendingHeldAndRunningJobs) {
 }
 
 TEST(Cancel, CancellingSecondaryRestoresPrimaryRate) {
-  sim::Engine engine;
-  slurmlite::ControllerConfig config;
-  config.nodes = 4;
-  config.strategy = core::StrategyKind::kCoBackfill;
-  slurmlite::Controller controller(engine, config, trinity());
-  controller.submit(
-      make_job(1, 4, kHour, 2 * kHour, trinity().by_name("GTC").id));
-  controller.submit(make_job(2, 2, 40 * kMinute, 80 * kMinute,
-                             trinity().by_name("miniFE").id));
-  engine.run_until(10 * kMinute);
-  EXPECT_GT(controller.execution().dilation(1), 1.0);  // co-located
-  EXPECT_TRUE(controller.cancel(2));
-  EXPECT_DOUBLE_EQ(controller.execution().dilation(1), 1.0);  // alone again
-  engine.run();
-  const auto records = controller.job_records();
-  EXPECT_EQ(records[0].state, workload::JobState::kCompleted);
-  // Job 1 finished before its no-sharing end time plus the dilation debt
-  // accrued in the shared 10 minutes.
-  EXPECT_GT(records[0].end_time, kHour);
-  EXPECT_LT(records[0].end_time, kHour + 10 * kMinute);
+  // Job 1 shares its nodes with job 2 from t=0; with `cancel_at` set, job
+  // 2 is cancelled then. Returns job 1's record.
+  const auto run = [](std::optional<SimTime> cancel_at) {
+    sim::Engine engine;
+    slurmlite::ControllerConfig config;
+    config.nodes = 4;
+    config.strategy = core::StrategyKind::kCoBackfill;
+    slurmlite::Controller controller(engine, config, trinity());
+    controller.submit(
+        make_job(1, 4, kHour, 2 * kHour, trinity().by_name("GTC").id));
+    controller.submit(make_job(2, 2, 40 * kMinute, 80 * kMinute,
+                               trinity().by_name("miniFE").id));
+    if (cancel_at) {
+      engine.run_until(*cancel_at);
+      EXPECT_TRUE(controller.cancel(2));
+    }
+    engine.run();
+    return controller.job_records()[0];
+  };
+  const workload::Job shared = run(std::nullopt);
+  const workload::Job cancelled = run(10 * kMinute);
+  EXPECT_EQ(cancelled.state, workload::JobState::kCompleted);
+  // Dilated while shared ...
+  EXPECT_GT(cancelled.observed_dilation, 1.0);
+  // ... and back at full rate after the cancel: job 1 finished before its
+  // no-sharing end time plus the dilation debt accrued in the shared 10
+  // minutes, and before the run in which job 2 kept sharing.
+  EXPECT_GT(cancelled.end_time, kHour);
+  EXPECT_LT(cancelled.end_time, kHour + 10 * kMinute);
+  EXPECT_LT(cancelled.end_time, shared.end_time);
+  EXPECT_LT(cancelled.observed_dilation, shared.observed_dilation);
 }
 
 // --- Backfill depth limit (bf_max_job_test) --------------------------------------------

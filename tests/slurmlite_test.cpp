@@ -34,9 +34,14 @@ struct ExecFixture {
   cluster::Machine machine{2, cluster::NodeConfig{}};
   interference::CorunModel corun{};
   ExecutionModel exec{machine, trinity(), corun};
+  cosched::testing::Epochs epochs;
 
+  void start(const workload::Job& job, SimTime now) {
+    epochs[job.id] = exec.start(job, now);
+  }
+  const Epoch& epoch(JobId id) const { return epochs.at(id); }
   std::vector<JobId> refresh(SimTime now) {
-    return cosched::testing::refresh_all(exec, machine, now);
+    return cosched::testing::refresh_all(exec, machine, epochs, now);
   }
 };
 
@@ -44,24 +49,24 @@ TEST(ExecutionModel, ExclusiveJobRunsAtFullRate) {
   ExecFixture f;
   auto job = make_job(1, 1, 100 * kSecond, 200 * kSecond, app_id("GTC"));
   f.machine.allocate_primary(1, {0});
-  f.exec.start(job, 0);
+  f.start(job, 0);
   EXPECT_EQ(f.refresh(0), std::vector<JobId>{1});  // first rate, first end
-  EXPECT_DOUBLE_EQ(f.exec.dilation(1), 1.0);
-  EXPECT_EQ(f.exec.predicted_end(1), 100 * kSecond);
-  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1, 0), 100.0);
+  EXPECT_DOUBLE_EQ(f.epoch(1).dilation(), 1.0);
+  EXPECT_EQ(f.epoch(1).predicted_end(), 100 * kSecond);
+  EXPECT_DOUBLE_EQ(f.epoch(1).remaining_work_s(0), 100.0);
 }
 
 TEST(ExecutionModel, ProgressAccrues) {
   ExecFixture f;
   auto job = make_job(1, 1, 100 * kSecond, 200 * kSecond, app_id("GTC"));
   f.machine.allocate_primary(1, {0});
-  f.exec.start(job, 0);
+  f.start(job, 0);
   f.refresh(0);
-  EXPECT_DOUBLE_EQ(f.exec.progress_s(1, 40 * kSecond), 40.0);
-  EXPECT_DOUBLE_EQ(f.exec.remaining_work_s(1, 40 * kSecond), 60.0);
+  EXPECT_DOUBLE_EQ(f.epoch(1).progress_s(40 * kSecond), 40.0);
+  EXPECT_DOUBLE_EQ(f.epoch(1).remaining_work_s(40 * kSecond), 60.0);
   // A refresh with nothing changed moves no end.
   EXPECT_TRUE(f.refresh(40 * kSecond).empty());
-  EXPECT_EQ(f.exec.predicted_end(1), 100 * kSecond);
+  EXPECT_EQ(f.epoch(1).predicted_end(), 100 * kSecond);
   EXPECT_EQ(f.exec.rate_changes(), 0u);
 }
 
@@ -70,17 +75,17 @@ TEST(ExecutionModel, CoLocationDilatesBothJobs) {
   auto j1 = make_job(1, 1, 100 * kSecond, 300 * kSecond, app_id("GTC"));
   auto j2 = make_job(2, 1, 100 * kSecond, 300 * kSecond, app_id("miniFE"));
   f.machine.allocate_primary(1, {0});
-  f.exec.start(j1, 0);
+  f.start(j1, 0);
   f.refresh(0);
   f.machine.allocate_secondary(2, {0});
-  f.exec.start(j2, 0);
+  f.start(j2, 0);
   f.refresh(0);
-  EXPECT_GT(f.exec.dilation(1), 1.0);
-  EXPECT_GT(f.exec.dilation(2), 1.0);
-  EXPECT_GT(f.exec.predicted_end(1), 100 * kSecond);
+  EXPECT_GT(f.epoch(1).dilation(), 1.0);
+  EXPECT_GT(f.epoch(2).dilation(), 1.0);
+  EXPECT_GT(f.epoch(1).predicted_end(), 100 * kSecond);
   // The pair is complementary, so neither side doubles.
-  EXPECT_LT(f.exec.dilation(1), 1.5);
-  EXPECT_LT(f.exec.dilation(2), 1.5);
+  EXPECT_LT(f.epoch(1).dilation(), 1.5);
+  EXPECT_LT(f.epoch(2).dilation(), 1.5);
 }
 
 TEST(ExecutionModel, RateRecoversWhenCorunnerLeaves) {
@@ -88,24 +93,25 @@ TEST(ExecutionModel, RateRecoversWhenCorunnerLeaves) {
   auto j1 = make_job(1, 1, 100 * kSecond, 300 * kSecond, app_id("GTC"));
   auto j2 = make_job(2, 1, 30 * kSecond, 300 * kSecond, app_id("miniFE"));
   f.machine.allocate_primary(1, {0});
-  f.exec.start(j1, 0);
+  f.start(j1, 0);
   f.machine.allocate_secondary(2, {0});
-  f.exec.start(j2, 0);
+  f.start(j2, 0);
   f.refresh(0);
-  const double dilated = f.exec.dilation(1);
+  const double dilated = f.epoch(1).dilation();
   EXPECT_GT(dilated, 1.0);
 
   // Co-runner departs at t=50s: job 1's epoch closes there.
-  f.exec.finish(2);
   f.machine.release(2);
+  f.epochs.erase(2);
   EXPECT_EQ(f.refresh(50 * kSecond), std::vector<JobId>{1});
   EXPECT_EQ(f.exec.rate_changes(), 1u);
-  EXPECT_DOUBLE_EQ(f.exec.dilation(1), 1.0);
+  EXPECT_DOUBLE_EQ(f.epoch(1).dilation(), 1.0);
   // Remaining work takes exactly its exclusive time from here on.
-  const double remaining = f.exec.remaining_work_s(1, 50 * kSecond);
-  EXPECT_EQ(f.exec.predicted_end(1), 50 * kSecond + from_seconds(remaining));
+  const double remaining = f.epoch(1).remaining_work_s(50 * kSecond);
+  EXPECT_EQ(f.epoch(1).predicted_end(),
+            50 * kSecond + from_seconds(remaining));
   // Cumulative dilation reflects the shared phase.
-  EXPECT_GT(f.exec.observed_dilation(1, 50 * kSecond), 1.0);
+  EXPECT_GT(f.epoch(1).observed_dilation(50 * kSecond), 1.0);
 }
 
 TEST(ExecutionModel, MultiNodeJobPacedBySlowestNode) {
@@ -113,12 +119,12 @@ TEST(ExecutionModel, MultiNodeJobPacedBySlowestNode) {
   auto j1 = make_job(1, 2, 100 * kSecond, 300 * kSecond, app_id("GTC"));
   auto j2 = make_job(2, 1, 100 * kSecond, 300 * kSecond, app_id("miniFE"));
   f.machine.allocate_primary(1, {0, 1});
-  f.exec.start(j1, 0);
+  f.start(j1, 0);
   f.machine.allocate_secondary(2, {0});  // only node 0 is shared
-  f.exec.start(j2, 0);
+  f.start(j2, 0);
   f.refresh(0);
   // Job 1 pays the full co-run dilation although node 1 is unshared (BSP).
-  EXPECT_GT(f.exec.dilation(1), 1.0);
+  EXPECT_GT(f.epoch(1).dilation(), 1.0);
 }
 
 // --- Controller integration through small scripted scenarios --------------------------

@@ -3,6 +3,7 @@
 // without a full controller.
 #pragma once
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -32,20 +33,36 @@ inline workload::Job make_job(JobId id, int nodes, SimDuration runtime,
   return job;
 }
 
+/// Execution-model tests keep each running job's epoch here, as the
+/// controller keeps it in the job's Live entry.
+using Epochs = std::map<JobId, slurmlite::Epoch>;
+
+/// Rate refresh of the residents of `nodes` at `now`, reaching their
+/// epochs in `epochs`. Returns the jobs whose predicted end moved.
+inline std::vector<JobId> refresh(slurmlite::ExecutionModel& exec,
+                                  Epochs& epochs,
+                                  std::span<const NodeId> nodes,
+                                  SimTime now) {
+  const std::span<const JobId> moved = exec.refresh_rates(
+      nodes, now,
+      [&](JobId id) -> slurmlite::Epoch& { return epochs.at(id); });
+  return {moved.begin(), moved.end()};
+}
+
 /// Full-scan rate refresh for execution-model tests: settles every running
 /// job at `now` by naming every node dirty (the controller passes only the
 /// machine's dirty list), then drains the machine's dirty list. Returns
 /// the jobs whose predicted end moved.
 inline std::vector<JobId> refresh_all(slurmlite::ExecutionModel& exec,
                                       cluster::Machine& machine,
-                                      SimTime now) {
+                                      Epochs& epochs, SimTime now) {
   std::vector<NodeId> all(static_cast<std::size_t>(machine.node_count()));
   for (std::size_t n = 0; n < all.size(); ++n) {
     all[n] = static_cast<NodeId>(n);
   }
-  const std::span<const JobId> moved = exec.refresh_rates(all, now);
+  std::vector<JobId> moved = refresh(exec, epochs, all, now);
   machine.clear_dirty_nodes();
-  return {moved.begin(), moved.end()};
+  return moved;
 }
 
 /// The `count` lowest-id nodes with a free secondary slot, or nullopt if
