@@ -8,6 +8,7 @@
 
 #include "core/scheduler.hpp"
 #include "util/check.hpp"
+#include "util/input.hpp"
 
 namespace cosched::slurmlite {
 
@@ -193,8 +194,9 @@ ControllerConfig parse_config(std::istream& in) {
 }
 
 ControllerConfig parse_config_file(const std::string& path) {
-  std::ifstream in(path);
-  COSCHED_REQUIRE(in.good(), "cannot open config file '" << path << "'");
+  std::ifstream in;
+  COSCHED_REQUIRE(open_input(in, path),
+                  "cannot open config file '" << path << "'");
   return parse_config(in);
 }
 

@@ -1,20 +1,25 @@
 #include "trace/swf.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 
 #include "util/check.hpp"
+#include "util/input.hpp"
 #include "util/log.hpp"
 
 namespace cosched::trace {
 
 namespace {
 
-/// The 18 SWF fields in column order, as error messages name them.
-constexpr const char* kFieldNames[] = {
+constexpr std::size_t kFieldCount = 18;
+
+/// The SWF fields in column order, as error messages name them.
+constexpr const char* kFieldNames[kFieldCount] = {
     "job number",       "submit time",          "wait time",
     "run time",         "processors used",      "average CPU time",
     "memory used",      "processors requested", "requested time",
@@ -22,29 +27,85 @@ constexpr const char* kFieldNames[] = {
     "group id",         "application number",   "queue number",
     "partition number", "preceding job",        "think time"};
 
-/// True when `token` reads as a whole number that is not finite: NaN,
-/// infinity, or a value past the range of a double.
-bool non_finite(const std::string& token) {
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  return *end == '\0' && !std::isfinite(value);
+/// The one real-valued field; every other field is an integer.
+constexpr std::size_t kCpuTimeField = 5;
+
+/// Whitespace as `>>` skips it; a CRLF line's '\r' is trailing space.
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+/// `token` without the leading '+' that `>>` accepts and from_chars does
+/// not.
+std::string_view without_plus(std::string_view token) {
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') {
+    token.remove_prefix(1);
+  }
+  return token;
 }
 
-/// A field that is not a finite number makes a record unreadable, not
-/// short: rejects the line, naming the job and the field.
-void reject_non_finite(const std::string& line, std::size_t line_no) {
-  std::istringstream tokens(line);
-  std::string job;
-  std::string token;
-  for (const char* field : kFieldNames) {
-    if (!(tokens >> token)) return;
-    COSCHED_REQUIRE(!non_finite(token),
-                    "SWF " << (job.empty() ? "line " + std::to_string(line_no)
-                                           : "job " + job)
-                           << " " << field << " is " << token
-                           << ", not a finite number");
-    if (job.empty()) job = token;
+/// Parses all of `token` as `out`: an integer field must be a whole
+/// integer, the real field a finite number.
+template <typename T>
+bool parse_field(std::string_view token, T& out) {
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, out);
+  if (ec != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(out);
+  return true;
+}
+
+/// True when `token` reads as a number that no double holds: NaN, an
+/// infinity, or a magnitude past the largest double. Read as a long
+/// double, so a value too small for a double counts as finite.
+bool non_finite(std::string_view token) {
+  const char* end = token.data() + token.size();
+  long double value = 0;
+  const auto [stop, ec] = std::from_chars(token.data(), end, value);
+  if (stop != end) return false;  // not a number at all
+  return ec == std::errc::result_out_of_range || !std::isfinite(value) ||
+         std::fabs(value) > std::numeric_limits<double>::max();
+}
+
+/// Scans one data line into `r` in a single pass. True only for exactly
+/// 18 fields that each parse; any other line is malformed. A field among
+/// the first 18 that reads as a number but not a finite one makes the line
+/// unreadable, not short: throws Error naming the job (the line, when the
+/// job number is that field) and the field.
+bool scan_record(std::string_view line, std::size_t line_no, SwfRecord& r) {
+  std::int64_t* const integers[kFieldCount] = {
+      &r.job_number,       &r.submit_time,      &r.wait_time,
+      &r.run_time,         &r.procs_used,       nullptr,
+      &r.memory_used,      &r.procs_requested,  &r.time_requested,
+      &r.memory_requested, &r.status,           &r.user_id,
+      &r.group_id,         &r.app_number,       &r.queue_number,
+      &r.partition_number, &r.preceding_job,    &r.think_time};
+  std::string_view job;
+  std::size_t field = 0;
+  bool ok = true;
+  for (std::size_t pos = line.find_first_not_of(kSpace);
+       pos != std::string_view::npos;
+       pos = line.find_first_not_of(kSpace, pos)) {
+    if (field == kFieldCount) return false;  // more than 18 fields
+    const std::size_t stop = std::min(line.find_first_of(kSpace, pos),
+                                      line.size());
+    const std::string_view token = line.substr(pos, stop - pos);
+    const std::string_view number = without_plus(token);
+    pos = stop;
+    const bool parsed = field == kCpuTimeField
+                            ? parse_field(number, r.avg_cpu_time)
+                            : parse_field(number, *integers[field]);
+    if (!parsed) {
+      COSCHED_REQUIRE(!non_finite(number),
+                      "SWF " << (field == 0
+                                     ? "line " + std::to_string(line_no)
+                                     : "job " + std::string(job))
+                             << " " << kFieldNames[field] << " is " << token
+                             << ", not a finite number");
+      ok = false;
+    }
+    if (field == 0) job = token;
+    ++field;
   }
+  return ok && field == kFieldCount;
 }
 
 }  // namespace
@@ -60,30 +121,18 @@ std::optional<SwfRecord> SwfReader::next() {
     if (auto pos = line_.find(';'); pos != std::string::npos) {
       line_.resize(pos);
     }
-    if (line_.find_first_not_of(" \t\n\v\f\r") == std::string::npos) {
+    if (line_.find_first_not_of(kSpace) == std::string::npos) {
       continue;  // blank or comment-only line
     }
-    std::istringstream fields(line_);
     SwfRecord r;
-    const bool ok = static_cast<bool>(
-        fields >> r.job_number >> r.submit_time >> r.wait_time >>
-        r.run_time >> r.procs_used >> r.avg_cpu_time >> r.memory_used >>
-        r.procs_requested >> r.time_requested >> r.memory_requested >>
-        r.status >> r.user_id >> r.group_id >> r.app_number >>
-        r.queue_number >> r.partition_number >> r.preceding_job >>
-        r.think_time);
-    if (!ok) {
-      reject_non_finite(line_, line_no_);
-      // Archive traces do contain short/garbled lines; skip and count them
-      // instead of abandoning the replay. First offender logs its line.
-      if (++malformed_ == 1) {
-        COSCHED_WARN("SWF line " << line_no_
-                                 << ": expected 18 numeric fields; "
-                                    "skipping (further skips counted)");
-      }
-      continue;
+    if (scan_record(line_, line_no_, r)) return r;
+    // Archive traces do contain short/garbled lines; skip and count them
+    // instead of abandoning the replay. First offender logs its line.
+    if (++malformed_ == 1) {
+      COSCHED_WARN("SWF line " << line_no_
+                               << ": expected 18 numeric fields; "
+                                  "skipping (further skips counted)");
     }
-    return r;
   }
   if (!ended_ && malformed_ > 0) {
     COSCHED_WARN("SWF stream: skipped " << malformed_
@@ -103,8 +152,9 @@ std::vector<SwfRecord> read_swf(std::istream& in, std::size_t* malformed) {
 
 std::vector<SwfRecord> read_swf_file(const std::string& path,
                                      std::size_t* malformed) {
-  std::ifstream in(path);
-  COSCHED_REQUIRE(in.good(), "cannot open SWF file '" << path << "'");
+  std::ifstream in;
+  COSCHED_REQUIRE(open_input(in, path),
+                  "cannot open SWF file '" << path << "'");
   return read_swf(in, malformed);
 }
 
@@ -216,10 +266,11 @@ SwfJobSource::SwfJobSource(std::istream& in, int app_count)
     : reader_(in), app_count_(app_count) {}
 
 SwfJobSource::SwfJobSource(const std::string& path, int app_count)
-    : file_(std::make_unique<std::ifstream>(path)),
+    : file_(std::make_unique<std::ifstream>()),
       reader_(*file_),
       app_count_(app_count) {
-  COSCHED_REQUIRE(file_->good(), "cannot open SWF file '" << path << "'");
+  COSCHED_REQUIRE(open_input(*file_, path),
+                  "cannot open SWF file '" << path << "'");
 }
 
 SwfJobSource::~SwfJobSource() = default;

@@ -134,6 +134,47 @@ TEST(Swf, StreamingSourceRejectsNonFiniteFields) {
   EXPECT_EQ(source.malformed_lines(), 0u);
 }
 
+// A record has exactly 18 fields, each integer field a whole integer: a
+// fraction in an integer field (not split into two fields) or a 19th
+// field makes a line malformed in either replay mode, while a leading '+'
+// and a CRLF ending still read.
+TEST(Swf, FractionalAndExtraFieldsAreMalformedInBothModes) {
+  const std::string text =
+      "1 0 -1 100 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+      "2 10 0 100 5.5 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1\n"
+      "3 10 0 100 4 -1 -1 4 200 -1 1 1 1 1 1 1 -1 -1 7 8\n"
+      "4 20 -1 100 +4 2.5 -1 +4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\r\n";
+  std::stringstream batch_in(text);
+  std::size_t malformed = 0;
+  const auto records = read_swf(batch_in, &malformed);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0].job_number, 1);
+  EXPECT_EQ(records[1].job_number, 4);
+  EXPECT_EQ(records[1].procs_requested, 4);
+  EXPECT_EQ(records[1].avg_cpu_time, 2.5);
+  EXPECT_EQ(records[1].think_time, -1);
+  EXPECT_EQ(malformed, 2u);
+
+  std::stringstream stream_in(text);
+  SwfJobSource source(stream_in, 0);
+  std::vector<JobId> ids;
+  while (auto job = source.next()) ids.push_back(job->id);
+  EXPECT_EQ(ids, (std::vector<JobId>{1, 4}));
+  EXPECT_EQ(source.malformed_lines(), 2u);
+}
+
+// A field past the range of a double is rejected like an infinite one,
+// also behind a fraction that already made the line malformed.
+TEST(Swf, RejectsFieldsPastTheRangeOfADouble) {
+  expect_swf_error(
+      [] {
+        std::stringstream in(
+            "5 0.5 -1 1e999 4 -1 -1 4 200 -1 1 -1 -1 -1 -1 -1 -1 -1\n");
+        read_swf(in);
+      },
+      "SWF job 5 run time is 1e999, not a finite number");
+}
+
 TEST(Swf, StreamingSourceMatchesMaterialized) {
   std::vector<SwfRecord> records(4);
   for (int i = 0; i < 4; ++i) {

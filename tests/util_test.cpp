@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "runner/runner.hpp"
 #include "util/flags.hpp"
+#include "util/input.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -13,6 +18,31 @@
 
 namespace cosched {
 namespace {
+
+// --- input ---------------------------------------------------------------------
+
+// An ifstream opens a directory and reads it as empty; open_input refuses
+// it like a missing file, and opens everything else as before.
+TEST(Input, OpenInputRejectsDirectoriesOnly) {
+  namespace fs = std::filesystem;
+  std::ifstream dir;
+  EXPECT_FALSE(open_input(dir, fs::temp_directory_path().string()));
+  EXPECT_FALSE(dir.is_open());
+  std::ifstream missing;
+  EXPECT_FALSE(open_input(missing, "no/such/input"));
+  std::ifstream device;
+  ASSERT_TRUE(open_input(device, "/dev/null"));
+  EXPECT_EQ(device.get(), std::char_traits<char>::eof());
+  const fs::path path = fs::temp_directory_path() /
+                        ("cosched_input_test_" + std::to_string(::getpid()));
+  std::ofstream(path) << "Nodes=4\n";
+  std::ifstream file;
+  ASSERT_TRUE(open_input(file, path.string()));
+  std::string line;
+  std::getline(file, line);
+  EXPECT_EQ(line, "Nodes=4");
+  fs::remove(path);
+}
 
 // --- types ---------------------------------------------------------------------
 

@@ -81,6 +81,7 @@
 #include "trace/gantt.hpp"
 #include "trace/swf.hpp"
 #include "util/flags.hpp"
+#include "util/input.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "workload/campaign.hpp"
@@ -426,8 +427,8 @@ int cmd_diff(const Flags& flags) {
   opts.context = flags.get_int_in("context", 3, 0);
   std::string text[2];
   for (std::size_t i = 0; i < 2; ++i) {
-    std::ifstream in(positional[i]);
-    if (!in.good()) {
+    std::ifstream in;
+    if (!open_input(in, positional[i])) {
       std::cerr << "error: cannot read '" << positional[i] << "'\n";
       return 2;
     }
@@ -607,8 +608,8 @@ int cmd_trace(const Flags& flags) {
   // Read before any early return, so a rejected trace never also warns
   // that --chrome went unused.
   const std::string chrome_path = flags.get_string("chrome", "");
-  std::ifstream in(path);
-  if (!in.good()) throw Error("cannot read '" + path + "'");
+  std::ifstream in;
+  if (!open_input(in, path)) throw Error("cannot read '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   const std::string document = buffer.str();
