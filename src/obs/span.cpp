@@ -1,54 +1,24 @@
 #include "obs/span.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 #include "util/json.hpp"
 
 namespace cosched::obs {
 
-PercentileSketch::PercentileSketch(std::vector<double> upper_bounds)
-    : upper_bounds_(std::move(upper_bounds)),
-      counts_(upper_bounds_.size() + 1, 0) {
-  COSCHED_REQUIRE(!upper_bounds_.empty(),
-                  "percentile sketch needs at least one bucket bound");
-  COSCHED_REQUIRE(
-      std::is_sorted(upper_bounds_.begin(), upper_bounds_.end()),
-      "percentile sketch bucket bounds must be ascending");
-}
-
-void PercentileSketch::observe(double v) {
-  const auto it =
-      std::lower_bound(upper_bounds_.begin(), upper_bounds_.end(), v);
-  ++counts_[static_cast<std::size_t>(it - upper_bounds_.begin())];
-  ++count_;
-  sum_ += v;
-}
-
-void PercentileSketch::merge_from(const PercentileSketch& other) {
-  COSCHED_REQUIRE(upper_bounds_ == other.upper_bounds_,
-                  "merging sketches with different bucket bounds");
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
 bool PercentileSketch::quantile(int permille, double* out) const {
   COSCHED_REQUIRE(permille >= 1 && permille <= 1000,
                   "quantile permille out of range: " << permille);
-  if (count_ == 0) return false;
+  if (count() == 0) return false;
   // Ceil rank in pure integer math: rank r such that the r-th smallest
   // observation (1-based) answers the query. No doubles, so the answer is
   // identical on every host.
   const std::uint64_t rank =
-      (count_ * static_cast<std::uint64_t>(permille) + 999) / 1000;
+      (count() * static_cast<std::uint64_t>(permille) + 999) / 1000;
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < upper_bounds_.size(); ++i) {
-    seen += counts_[i];
+  for (std::size_t i = 0; i < upper_bounds().size(); ++i) {
+    seen += bucket_counts()[i];
     if (seen >= rank) {
-      *out = upper_bounds_[i];
+      *out = upper_bounds()[i];
       return true;
     }
   }
@@ -58,8 +28,8 @@ bool PercentileSketch::quantile(int permille, double* out) const {
 void PercentileSketch::write_json(JsonWriter& w,
                                   const std::string& key) const {
   w.begin_object(key);
-  w.value("count", static_cast<std::int64_t>(count_));
-  w.value("sum", sum_);
+  w.value("count", static_cast<std::int64_t>(count()));
+  w.value("sum", sum());
   for (const auto& [name, permille] :
        {std::pair<const char*, int>{"p50", 500}, {"p90", 900},
         {"p99", 990}}) {
@@ -67,7 +37,7 @@ void PercentileSketch::write_json(JsonWriter& w,
     if (quantile(permille, &q)) {
       w.value(name, q);
     } else {
-      w.value(name, count_ == 0 ? "none" : "inf");
+      w.value(name, count() == 0 ? "none" : "inf");
     }
   }
   w.end_object();
@@ -106,12 +76,7 @@ void SpanLedger::on_first_considered(JobId job, SimTime t) {
 void SpanLedger::on_start(JobId job, SimTime t, bool secondary) {
   const auto it = open_.find(job);
   if (it == open_.end()) return;
-  // The batch controller dispatches in the same pass that schedules, so
-  // the two stamps coincide today; a service mode with a dispatch queue
-  // will set them apart.
-  if (it->second.scheduled < 0) it->second.scheduled = t;
   it->second.start = t;
-  it->second.secondary = secondary;
   if (secondary) {
     ++started_secondary_;
   } else {
@@ -125,7 +90,6 @@ void SpanLedger::on_requeue(JobId job, SimTime /*t*/) {
   // Back to pending: the next start overwrites the start stamp, so the
   // folded wait measures submit -> final start (matching queue_wait_s).
   it->second.start = -1;
-  ++it->second.requeues;
   ++requeues_;
 }
 
@@ -151,11 +115,6 @@ void SpanLedger::on_end(JobId job, SimTime t, SpanEnd how) {
   if (span.first_considered >= 0) {
     first_consider_s_.observe(to_seconds(span.first_considered - span.submit));
   }
-}
-
-bool SpanLedger::considered(JobId job) const {
-  const auto it = open_.find(job);
-  return it != open_.end() && it->second.first_considered >= 0;
 }
 
 void SpanLedger::merge_from(const SpanLedger& other) {

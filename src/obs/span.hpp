@@ -1,6 +1,6 @@
-// Job lifecycle spans: per-job submit → first_considered → scheduled →
-// start → end timestamps with reason context, folded into fixed-bucket
-// percentile sketches at end of life.
+// Job lifecycle spans: per-job submit → first_considered → start → end
+// timestamps with reason context, folded into fixed-bucket percentile
+// sketches at end of life.
 //
 // The ledger is streaming: it holds one small OpenSpan per in-flight job
 // and a constant-size sketch per latency class, so memory stays flat at
@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "util/types.hpp"
 
 namespace cosched {
@@ -28,26 +29,16 @@ class JsonWriter;
 
 namespace cosched::obs {
 
-/// Fixed-bucket percentile sketch: observations land in the first bucket
-/// whose upper bound is >= v (one implicit overflow bucket catches the
-/// rest), and quantile queries return the upper bound of the bucket that
-/// contains the requested rank. The error is therefore bounded by bucket
-/// resolution, never by sample order — merge and quantile results are
-/// independent of observation order, which is what makes the sketch safe
-/// to fold share-nothing across cells.
-class PercentileSketch {
+/// Fixed-bucket percentile sketch: a registry Histogram (observations
+/// land in the first bucket whose upper bound is >= v, one implicit
+/// overflow bucket catches the rest) whose quantile queries return the
+/// upper bound of the bucket that contains the requested rank. The error
+/// is therefore bounded by bucket resolution, never by sample order —
+/// merge and quantile results are independent of observation order, which
+/// is what makes the sketch safe to fold share-nothing across cells.
+class PercentileSketch : public Histogram {
  public:
-  explicit PercentileSketch(std::vector<double> upper_bounds);
-
-  void observe(double v);
-
-  /// Adds another sketch's observations; bucket bounds must match.
-  void merge_from(const PercentileSketch& other);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  const std::vector<double>& upper_bounds() const { return upper_bounds_; }
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
+  using Histogram::Histogram;
 
   /// Upper bound of the bucket holding the observation at the given
   /// permille rank (ceil-rank, 1-based: permille=500 → p50). Returns
@@ -63,12 +54,6 @@ class PercentileSketch {
   /// two days) and for dimensionless stretch factors.
   static std::vector<double> time_bounds();
   static std::vector<double> stretch_bounds();
-
- private:
-  std::vector<double> upper_bounds_;
-  std::vector<std::uint64_t> counts_;  ///< size = bounds + 1 (overflow last)
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
 };
 
 /// How a job's span ended.
@@ -86,10 +71,8 @@ enum class SpanEnd : std::int8_t {
 ///                       time (requires every pass to run, so attaching a
 ///                       ledger disables the pass early-exit, exactly like
 ///                       attaching a tracer does)
-///   on_start            job began executing (in the batch controller the
-///                       scheduled and start timestamps coincide; the
-///                       ledger records both so a future service mode with
-///                       a dispatch delay reports them separately)
+///   on_start            job began executing, on primary or secondary
+///                       slots
 ///   on_requeue          a running job was pushed back to pending
 ///   on_end              complete / timeout / cancelled
 ///
@@ -108,11 +91,6 @@ class SpanLedger {
   void on_start(JobId job, SimTime t, bool secondary);
   void on_requeue(JobId job, SimTime t);
   void on_end(JobId job, SimTime t, SpanEnd how);
-
-  /// True once `job` has been marked considered (used by the controller to
-  /// skip the per-pass marking loop's map lookups after warm-up — callers
-  /// may also just call on_first_considered idempotently).
-  bool considered(JobId job) const;
 
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t ended() const { return completed_ + timed_out_ + cancelled_; }
@@ -136,10 +114,7 @@ class SpanLedger {
   struct OpenSpan {
     SimTime submit = -1;
     SimTime first_considered = -1;
-    SimTime scheduled = -1;
     SimTime start = -1;
-    std::uint32_t requeues = 0;
-    bool secondary = false;
   };
 
   std::unordered_map<JobId, OpenSpan> open_;
