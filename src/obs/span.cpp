@@ -61,60 +61,19 @@ SpanLedger::SpanLedger()
       stretch_(PercentileSketch::stretch_bounds()),
       first_consider_s_(PercentileSketch::time_bounds()) {}
 
-void SpanLedger::on_submit(JobId job, SimTime t) {
-  OpenSpan& span = open_[job];
-  span.submit = t;
-  ++submitted_;
-}
-
-void SpanLedger::on_first_considered(JobId job, SimTime t) {
-  const auto it = open_.find(job);
-  if (it == open_.end()) return;
-  if (it->second.first_considered < 0) it->second.first_considered = t;
-}
-
-void SpanLedger::on_start(JobId job, SimTime t, bool secondary) {
-  const auto it = open_.find(job);
-  if (it == open_.end()) return;
-  it->second.start = t;
-  if (secondary) {
-    ++started_secondary_;
-  } else {
-    ++started_primary_;
-  }
-}
-
-void SpanLedger::on_requeue(JobId job, SimTime /*t*/) {
-  const auto it = open_.find(job);
-  if (it == open_.end()) return;
-  // Back to pending: the next start overwrites the start stamp, so the
-  // folded wait measures submit -> final start (matching queue_wait_s).
-  it->second.start = -1;
-  ++requeues_;
-}
-
-void SpanLedger::on_end(JobId job, SimTime t, SpanEnd how) {
-  const auto it = open_.find(job);
-  if (it == open_.end()) return;  // e.g. cancel raced the submit record
-  const OpenSpan span = it->second;
-  open_.erase(it);
+void SpanLedger::on_end(SpanEnd how, const SpanStamps& span) {
   switch (how) {
     case SpanEnd::kComplete: ++completed_; break;
     case SpanEnd::kTimeout: ++timed_out_; break;
-    case SpanEnd::kCancelled: ++cancelled_; break;
-  }
-  if (how == SpanEnd::kCancelled || span.start < 0 || span.submit < 0) {
-    return;  // never ran: nothing to fold
+    case SpanEnd::kCancelled: ++cancelled_; return;  // nothing to fold
   }
   const double wait = to_seconds(span.start - span.submit);
-  const double latency = to_seconds(t - span.submit);
-  const double service = to_seconds(t - span.start);
+  const double latency = to_seconds(span.end - span.submit);
+  const double service = to_seconds(span.end - span.start);
   wait_s_.observe(wait);
   latency_s_.observe(latency);
   if (service > 0) stretch_.observe(latency / service);
-  if (span.first_considered >= 0) {
-    first_consider_s_.observe(to_seconds(span.first_considered - span.submit));
-  }
+  first_consider_s_.observe(to_seconds(span.first_considered - span.submit));
 }
 
 void SpanLedger::merge_from(const SpanLedger& other) {
@@ -141,7 +100,7 @@ void SpanLedger::write_json(JsonWriter& w) const {
   w.value("timed_out", static_cast<std::int64_t>(timed_out_));
   w.value("cancelled", static_cast<std::int64_t>(cancelled_));
   w.value("requeues", static_cast<std::int64_t>(requeues_));
-  w.value("open", static_cast<std::int64_t>(open_.size()));
+  w.value("open", static_cast<std::int64_t>(open()));
   w.end_object();
   wait_s_.write_json(w, "wait_s");
   first_consider_s_.write_json(w, "first_consider_s");

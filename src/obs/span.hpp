@@ -1,13 +1,13 @@
 // Job lifecycle spans: per-job submit → first_considered → start → end
-// timestamps with reason context, folded into fixed-bucket percentile
-// sketches at end of life.
+// timestamps folded into fixed-bucket percentile sketches at end of life.
 //
-// The ledger is streaming: it holds one small OpenSpan per in-flight job
-// and a constant-size sketch per latency class, so memory stays flat at
-// fleet scale (ROADMAP item 5). Like the Registry it is share-nothing —
-// one ledger per cell, merged bucket-wise afterwards — and observation
-// never feeds back into scheduling, so digests are identical with spans
-// on or off (pinned by tests/obs_test.cpp).
+// The ledger is a stateless fold: it keeps no per-job state, only
+// counters and a constant-size sketch per latency class, so memory stays
+// flat at fleet scale (ROADMAP item 5). The controller hands it each
+// job's stamps once, when the job retires. Like the Registry it is
+// share-nothing — one ledger per cell, merged bucket-wise afterwards — and
+// observation never feeds back into scheduling, so digests are identical
+// with spans on or off (pinned by tests/obs_test.cpp).
 //
 // Determinism contract: every timestamp is sim-time; the JSON dump orders
 // fields statically and quantiles are integer-rank bucket lookups, so two
@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -63,46 +62,49 @@ enum class SpanEnd : std::int8_t {
   kCancelled,
 };
 
-/// Streaming per-job lifecycle ledger. The controller drives it from the
-/// same hook sites that feed the Tracer:
+/// One job's lifecycle stamps, read from its final record at retirement.
+struct SpanStamps {
+  SimTime submit = 0;
+  /// The first scheduler pass that examined the job.
+  SimTime first_considered = 0;
+  /// The final attempt's start: a requeue starts the wait over.
+  SimTime start = 0;
+  SimTime end = 0;
+};
+
+/// Lifecycle ledger over every submitted job. The controller drives it:
 ///
-///   on_submit           job enters the pending queue
-///   on_first_considered a scheduler pass examined the job for the first
-///                       time (requires every pass to run, so attaching a
-///                       ledger disables the pass early-exit, exactly like
-///                       attaching a tracer does)
-///   on_start            job began executing, on primary or secondary
-///                       slots
-///   on_requeue          a running job was pushed back to pending
-///   on_end              complete / timeout / cancelled
+///   on_submit   a job's submit event fired
+///   on_start    an attempt began executing, on primary or secondary slots
+///   on_requeue  a running job was pushed back to pending
+///   on_end      a submitted job retired: complete / timeout / cancelled
 ///
-/// Completed and timed-out jobs that actually started fold wait, first-
-/// consider latency, end-to-end latency, and stretch into the sketches;
-/// cancelled jobs only count. Jobs still open at end of run are reported
-/// as in-flight counts, not folded.
+/// Completed and timed-out jobs fold wait, first-consider latency,
+/// end-to-end latency, and stretch into the sketches; cancelled jobs only
+/// count. Jobs submitted but not yet ended are reported as open.
 class SpanLedger {
  public:
   SpanLedger();
   SpanLedger(const SpanLedger&) = delete;
   SpanLedger& operator=(const SpanLedger&) = delete;
 
-  void on_submit(JobId job, SimTime t);
-  void on_first_considered(JobId job, SimTime t);
-  void on_start(JobId job, SimTime t, bool secondary);
-  void on_requeue(JobId job, SimTime t);
-  void on_end(JobId job, SimTime t, SpanEnd how);
+  void on_submit() { ++submitted_; }
+  void on_start(bool secondary) {
+    ++(secondary ? started_secondary_ : started_primary_);
+  }
+  void on_requeue() { ++requeues_; }
+  void on_end(SpanEnd how, const SpanStamps& span);
 
   std::uint64_t submitted() const { return submitted_; }
   std::uint64_t ended() const { return completed_ + timed_out_ + cancelled_; }
-  std::uint64_t open() const { return open_.size(); }
+  std::uint64_t open() const { return submitted_ - ended(); }
 
   const PercentileSketch& wait() const { return wait_s_; }
   const PercentileSketch& latency() const { return latency_s_; }
   const PercentileSketch& stretch() const { return stretch_; }
   const PercentileSketch& first_consider() const { return first_consider_s_; }
 
-  /// Folds another cell's ledger in (counters add, sketches merge). Open
-  /// spans stay per-cell: merge after the cells' runs have drained.
+  /// Folds another cell's ledger in: counters add, sketches merge.
   void merge_from(const SpanLedger& other);
 
   /// The full ledger as one JSON document — static field order, integer
@@ -111,13 +113,6 @@ class SpanLedger {
   void write_json(JsonWriter& w) const;
 
  private:
-  struct OpenSpan {
-    SimTime submit = -1;
-    SimTime first_considered = -1;
-    SimTime start = -1;
-  };
-
-  std::unordered_map<JobId, OpenSpan> open_;
   std::uint64_t submitted_ = 0;
   std::uint64_t started_primary_ = 0;
   std::uint64_t started_secondary_ = 0;

@@ -191,6 +191,17 @@ void Controller::retire_job(Live& live) {
   retired_state_[idx] = static_cast<std::uint8_t>(j.state);
   ++retired_counts_[static_cast<std::size_t>(j.state)];
   acc_.record(idx, j);
+  if (spans_ != nullptr && live.submitted) {
+    using S = workload::JobState;
+    using E = obs::SpanEnd;
+    const E how = j.state == S::kCompleted ? E::kComplete
+                  : j.state == S::kTimeout ? E::kTimeout
+                                           : E::kCancelled;
+    spans_->on_end(how, {.submit = j.submit_time,
+                         .first_considered = live.enqueued,
+                         .start = j.start_time,
+                         .end = j.end_time});
+  }
   if (keep_records_) kept_[idx] = std::move(live.job);
   jobs_.erase(id);
 }
@@ -293,12 +304,13 @@ void Controller::on_submit(JobId id) {
   const auto it = jobs_.find(id);
   // scancel'd before the submit event fired: the cancel retired the record.
   if (it == jobs_.end()) return;
+  it->second.submitted = true;
   workload::Job& j = it->second.job;
   COSCHED_CHECK(j.state == workload::JobState::kPending);
   COSCHED_DEBUG("t=" << format_duration(now()) << " submit job " << id
                      << " (" << j.nodes << " nodes)");
   if (tracer_ != nullptr) tracer_->submit(id, j.nodes);
-  if (spans_ != nullptr) spans_->on_submit(id, now());
+  if (spans_ != nullptr) spans_->on_submit();
   if (registry_ != nullptr) registry_->counter("jobs_submitted").inc();
   if (j.depends_on != kInvalidJob) {
     // job_state (not job()): the dependency may already be retired.
@@ -319,7 +331,9 @@ void Controller::on_submit(JobId id) {
 }
 
 void Controller::enqueue(JobId id) {
-  entry(id).job.state = workload::JobState::kPending;
+  Live& live = entry(id);
+  live.job.state = workload::JobState::kPending;
+  live.enqueued = now();
   pending_.push_back(id);
   request_schedule();
 }
@@ -339,7 +353,6 @@ void Controller::cancel_held(JobId id) {
   Live& live = entry(id);
   workload::Job& j = live.job;
   j.state = workload::JobState::kCancelled;
-  if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
   ++stats_.dependency_cancellations;
   COSCHED_INFO("t=" << format_duration(now()) << " job " << id
                     << " cancelled: dependency " << j.depends_on
@@ -378,12 +391,9 @@ bool Controller::pass_can_early_exit() const {
   // Early exit must be invisible: a skipped pass may not change a single
   // byte of any digest, golden metric, or trace. Strategies emit trace
   // records (shadow, backfill_reject, co_decision) and registry samples
-  // from inside their bodies, so any attached observer disables skipping
-  // outright. The span ledger likewise needs every pass: first_considered
-  // marking happens at the top of a real pass.
-  if (tracer_ != nullptr || registry_ != nullptr || spans_ != nullptr) {
-    return false;
-  }
+  // from inside their bodies, so an attached tracer or registry disables
+  // skipping outright. The span ledger reads no pass.
+  if (tracer_ != nullptr || registry_ != nullptr) return false;
   // Saturated machine: with no free primary slot, a primary-only strategy
   // can start nothing (every primary start goes through find_free_nodes);
   // a co strategy also needs no free secondary slot (its other start path
@@ -405,12 +415,6 @@ void Controller::run_scheduler_pass() {
     return;
   }
   order_queue();
-  if (spans_ != nullptr) {
-    // Every job this pass will look at is "considered" now; the call is
-    // idempotent, so re-marking survivors of earlier passes is free of
-    // bookkeeping here.
-    for (JobId id : pending_) spans_->on_first_considered(id, now());
-  }
   ++stats_.scheduler_passes;
   const std::uint64_t pass = stats_.scheduler_passes;
   const std::size_t primary_before = stats_.primary_starts;
@@ -501,8 +505,7 @@ void Controller::start_common(JobId id, const std::vector<NodeId>& nodes,
   meter_.occupy(nodes, now());
   const double wait_s = to_seconds(j.start_time - j.submit_time);
   if (spans_ != nullptr) {
-    spans_->on_start(id, now(),
-                     /*secondary=*/kind == cluster::AllocationKind::kSecondary);
+    spans_->on_start(/*secondary=*/kind == cluster::AllocationKind::kSecondary);
   }
   if (tracer_ != nullptr) {
     tracer_->start(id,
@@ -589,7 +592,6 @@ void Controller::on_complete(JobId id) {
   j.end_time = now();
   ++stats_.completions;
   if (tracer_ != nullptr) tracer_->finish("complete", id, j.observed_dilation);
-  if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kComplete);
   if (registry_ != nullptr) registry_->counter("completions").inc();
 
   const std::optional<AppId> partner = end_attempt(live);
@@ -611,7 +613,6 @@ void Controller::mark_timeout(Live& live) {
   j.end_time = now();
   ++stats_.timeouts;
   if (tracer_ != nullptr) tracer_->finish("timeout", id, j.observed_dilation);
-  if (spans_ != nullptr) spans_->on_end(id, now(), obs::SpanEnd::kTimeout);
   if (registry_ != nullptr) registry_->counter("timeouts").inc();
 }
 
@@ -680,7 +681,7 @@ void Controller::requeue(JobId id) {
   j.end_time = -1;
   j.alloc_nodes.clear();
   j.observed_dilation = 1.0;
-  if (spans_ != nullptr) spans_->on_requeue(id, now());
+  if (spans_ != nullptr) spans_->on_requeue();
   ++j.requeues;
   ++stats_.requeues;
   pending_.push_back(id);
@@ -733,9 +734,6 @@ bool Controller::cancel(JobId id) {
       const auto q = std::find(pending_.begin(), pending_.end(), id);
       if (q != pending_.end()) pending_.erase(q);
       j.state = workload::JobState::kCancelled;
-      if (spans_ != nullptr) {
-        spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
-      }
       settle_dependents(live, /*success=*/false);
       retire_job(live);
       return true;
@@ -745,9 +743,6 @@ bool Controller::cancel(JobId id) {
       // before it retires.
       std::erase(entry(j.depends_on).held, id);
       j.state = workload::JobState::kCancelled;
-      if (spans_ != nullptr) {
-        spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
-      }
       settle_dependents(live, /*success=*/false);
       retire_job(live);
       return true;
@@ -756,9 +751,6 @@ bool Controller::cancel(JobId id) {
       j.observed_dilation = live.epoch.observed_dilation(now());
       j.state = workload::JobState::kCancelled;
       j.end_time = now();
-      if (spans_ != nullptr) {
-        spans_->on_end(id, now(), obs::SpanEnd::kCancelled);
-      }
       end_attempt(live);  // a cancel makes no pair observation
       resync_completions();
       settle_dependents(live, /*success=*/false);

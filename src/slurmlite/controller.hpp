@@ -80,9 +80,9 @@ struct ControllerConfig {
   obs::Registry* registry = nullptr;
 
   /// Job lifecycle span ledger (obs/span.hpp), optional and non-owning.
-  /// Attaching one disables the pass early-exit (first_considered marking
-  /// needs every pass to run), exactly like attaching a tracer — and like
-  /// the tracer it never influences a decision.
+  /// Each submitted job's span is folded once, at retirement, so unlike a
+  /// tracer the ledger leaves the pass early-exit on; like the tracer it
+  /// never influences a decision.
   obs::SpanLedger* spans = nullptr;
 
   /// Sim-time cadence for utilization/queue-depth snapshot records; 0
@@ -253,6 +253,12 @@ class Controller final : public core::SchedulerHost,
     /// into the pair estimator when the attempt ends; kNoPartner if it
     /// shared no node.
     AppId partner = kNoPartner;
+    /// The job's submit event fired: only such jobs have a span.
+    bool submitted = false;
+    /// When the job first joined the eligible queue (a requeue keeps it).
+    /// Every enqueue requests a pass at that instant, so this is when a
+    /// scheduler pass first considered the job.
+    SimTime enqueued = -1;
   };
 
   /// Validation + registration shared by submit/submit_stream. Returns the
@@ -301,16 +307,17 @@ class Controller final : public core::SchedulerHost,
   /// it. Callers settle rates afterwards.
   std::optional<AppId> end_attempt(Live& live);
   /// Marks a running job killed at now() (walltime or node failure):
-  /// state, end time and dilation, the `timeout` trace record, span and
+  /// state, end time and dilation, the `timeout` trace record and
   /// counters.
   void mark_timeout(Live& live);
   /// Re-ranks pending_ under the configured queue policy.
   void order_queue();
   /// Records the job's final state into the digest/state/metrics side
-  /// tables and removes its entry: the record moves into kept_ when
-  /// records are kept, otherwise it is freed. Must be the LAST action of a
-  /// final-state transition — after spans, tracer, registry, and
-  /// settle_dependents have all seen the record.
+  /// tables, folds its span if its submit event fired, and removes its
+  /// entry: the record moves into kept_ when records are kept, otherwise
+  /// it is freed. Must be the LAST action of a final-state transition —
+  /// after tracer, registry, and settle_dependents have all seen the
+  /// record.
   void retire_job(Live& live);
   /// `id`'s lifecycle state, whether its record is live or retired.
   workload::JobState job_state(JobId id) const;

@@ -5,6 +5,7 @@
 #include "core/strategies.hpp"
 #include "slurmlite/controller.hpp"
 #include "test_support.hpp"
+#include "util/json.hpp"
 
 namespace cosched {
 namespace {
@@ -125,7 +126,8 @@ TEST(Cancel, ListArrivalNotYetPulledIsUnknown) {
 TEST(Cancel, ClosesSpansOfPendingHeldAndRunningJobs) {
   // One cancel down each of cancel's three paths, with a span ledger
   // attached: every span must close, and only started jobs that ran to
-  // completion fold a wait.
+  // completion fold a wait. A job cancelled before its submit event never
+  // opened a span, so the ledger counts it nowhere.
   sim::Engine engine;
   obs::SpanLedger spans;
   slurmlite::ControllerConfig config;
@@ -139,19 +141,27 @@ TEST(Cancel, ClosesSpansOfPendingHeldAndRunningJobs) {
   held.depends_on = 2;
   controller.submit(held);
   controller.submit(make_job(5, 2, kHour, 2 * kHour));  // after job 3
+  auto later = make_job(6, 1, kMinute, kHour);
+  later.submit_time = kHour;
+  controller.submit(later);
   engine.run_until(10 * kMinute);
   EXPECT_EQ(spans.submitted(), 5u);
   EXPECT_TRUE(controller.cancel(3));  // pending
   EXPECT_TRUE(controller.cancel(4));  // held on job 2
   EXPECT_TRUE(controller.cancel(1));  // running
+  EXPECT_TRUE(controller.cancel(6));  // before its submit event
   engine.run();
   const auto records = controller.job_records();
   EXPECT_EQ(records[0].state, workload::JobState::kCancelled);
   EXPECT_EQ(records[2].state, workload::JobState::kCancelled);
   EXPECT_EQ(records[3].state, workload::JobState::kCancelled);
   EXPECT_EQ(records[4].start_time, kHour);  // once job 2 freed its node
+  EXPECT_EQ(records[5].state, workload::JobState::kCancelled);
+  EXPECT_EQ(spans.submitted(), 5u);
   EXPECT_EQ(spans.open(), 0u);
   EXPECT_EQ(spans.ended(), spans.submitted());
+  EXPECT_EQ(parse_json(spans.to_json()).at("jobs").at("cancelled").as_number(),
+            3.0);  // jobs 1, 3 and 4
   EXPECT_EQ(spans.wait().count(), 2u);  // jobs 2 and 5
 }
 

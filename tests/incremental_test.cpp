@@ -253,9 +253,16 @@ struct ObservedRun {
   double sched_eff = 0;
   double comp_eff = 0;
   /// Passes skipped by the early exit: profiler calls of schedule_pass
-  /// minus pass_strategy (untraced runs only; observers forbid skipping).
+  /// minus pass_strategy (runs without a tracer or registry only; those
+  /// forbid skipping).
   std::uint64_t skipped = 0;
+  /// The span ledger's JSON, when one was attached.
+  std::string spans;
 };
+
+/// What a run attaches: nothing; only a span ledger; or a tracer, a
+/// registry and a span ledger.
+enum class Observers { kNone, kSpans, kFull };
 
 struct EarlyExitCell {
   slurmlite::QueuePolicy policy;
@@ -275,19 +282,21 @@ std::uint64_t profiled_calls(const char* phase) {
   return calls;
 }
 
-ObservedRun run_once(core::StrategyKind kind, bool with_observers,
+ObservedRun run_once(core::StrategyKind kind, Observers observers,
                      const EarlyExitCell& cell) {
   const auto catalog = test_catalog();
   obs::Tracer tracer;
   obs::Registry registry;
+  obs::SpanLedger spans;
   slurmlite::SimulationSpec spec;
   spec.controller.nodes = 16;
   spec.controller.strategy = kind;
   spec.controller.queue_policy = cell.policy;
-  if (with_observers) {
+  if (observers == Observers::kFull) {
     spec.controller.tracer = &tracer;
     spec.controller.registry = &registry;
   }
+  if (observers != Observers::kNone) spec.controller.spans = &spans;
   if (cell.saturated) {
     spec.controller.node_config.smt_per_core = 2;
     spec.workload = workload::trinity_stream(16, 200, 2.5);
@@ -296,8 +305,9 @@ ObservedRun run_once(core::StrategyKind kind, bool with_observers,
   }
   spec.seed = 7;
   spec.hash_events = true;
+  const bool profiled = observers != Observers::kFull;
   obs::profiler_reset();
-  obs::set_profiling_enabled(!with_observers);
+  obs::set_profiling_enabled(profiled);
   const auto result = slurmlite::run_simulation(spec, catalog);
   obs::set_profiling_enabled(false);
   ObservedRun run{result.event_stream_hash,
@@ -307,11 +317,13 @@ ObservedRun run_once(core::StrategyKind kind, bool with_observers,
                   result.metrics.mean_wait_s,
                   result.metrics.scheduling_efficiency,
                   result.metrics.computational_efficiency,
-                  0};
-  if (!with_observers) {
+                  0,
+                  {}};
+  if (profiled) {
     run.skipped =
         profiled_calls("schedule_pass") - profiled_calls("pass_strategy");
   }
+  if (observers != Observers::kNone) run.spans = spans.to_json();
   obs::profiler_reset();
   return run;
 }
@@ -323,26 +335,37 @@ TEST_P(EarlyExitInvisibility, ObserversDoNotChangeOneByte) {
   for (const bool saturated : {false, true}) {
     for (const auto policy : {slurmlite::QueuePolicy::kFifo,
                               slurmlite::QueuePolicy::kPriority}) {
+      SCOPED_TRACE(std::string(saturated ? "saturated " : "batch ") +
+                   (policy == slurmlite::QueuePolicy::kFifo ? "fifo"
+                                                            : "priority"));
       const EarlyExitCell cell{policy, saturated};
-      const ObservedRun skipping = run_once(GetParam(), false, cell);
-      const ObservedRun traced = run_once(GetParam(), true, cell);
-      // Early-exit fires only in the untraced run; every observable must
-      // still match exactly, including the pass count (skipped passes are
-      // counted) and the bit-exact FNV digest.
-      EXPECT_EQ(skipping.digest, traced.digest);
-      EXPECT_EQ(skipping.passes, traced.passes);
-      EXPECT_EQ(skipping.events, traced.events);
-      EXPECT_EQ(skipping.makespan, traced.makespan);
-      EXPECT_EQ(skipping.mean_wait, traced.mean_wait);
-      EXPECT_EQ(skipping.sched_eff, traced.sched_eff);
-      EXPECT_EQ(skipping.comp_eff, traced.comp_eff);
-      EXPECT_LE(skipping.skipped, skipping.passes);
+      const ObservedRun skipping = run_once(GetParam(), Observers::kNone, cell);
+      const ObservedRun spans_only =
+          run_once(GetParam(), Observers::kSpans, cell);
+      const ObservedRun traced = run_once(GetParam(), Observers::kFull, cell);
+      // Early-exit fires only in the runs without a tracer or registry;
+      // every observable must still match exactly, including the pass
+      // count (skipped passes are counted) and the bit-exact FNV digest.
+      for (const ObservedRun* run : {&skipping, &spans_only}) {
+        EXPECT_EQ(run->digest, traced.digest);
+        EXPECT_EQ(run->passes, traced.passes);
+        EXPECT_EQ(run->events, traced.events);
+        EXPECT_EQ(run->makespan, traced.makespan);
+        EXPECT_EQ(run->mean_wait, traced.mean_wait);
+        EXPECT_EQ(run->sched_eff, traced.sched_eff);
+        EXPECT_EQ(run->comp_eff, traced.comp_eff);
+        EXPECT_LE(run->skipped, run->passes);
+      }
+      // A span ledger reads no pass, so it neither stops the skip nor
+      // sees it: the same passes skip, and the ledger folds the same
+      // bytes as one riding along with the tracer and registry.
+      EXPECT_EQ(spans_only.skipped, skipping.skipped);
+      EXPECT_EQ(spans_only.spans, traced.spans);
       // A full machine stops a primary-only strategy even though every
       // busy node has a free secondary slot, so its passes there skip.
       if (saturated && !core::is_co_strategy(GetParam())) {
-        EXPECT_GT(skipping.skipped, 0u)
-            << (policy == slurmlite::QueuePolicy::kFifo ? "fifo"
-                                                        : "priority");
+        EXPECT_GT(skipping.skipped, 0u);
+        EXPECT_GT(spans_only.skipped, 0u);
       }
     }
   }

@@ -168,11 +168,12 @@ TEST(PercentileSketch, MergeMatchesCombinedObservations) {
 
 TEST(SpanLedger, FoldsLifecycleIntoSketches) {
   SpanLedger ledger;
-  ledger.on_submit(1, 0);
-  ledger.on_first_considered(1, 10 * kSecond);
-  ledger.on_first_considered(1, 20 * kSecond);  // idempotent: first wins
-  ledger.on_start(1, 60 * kSecond, /*secondary=*/false);
-  ledger.on_end(1, 360 * kSecond, SpanEnd::kComplete);
+  ledger.on_submit();
+  ledger.on_start(/*secondary=*/false);
+  ledger.on_end(SpanEnd::kComplete, {.submit = 0,
+                                     .first_considered = 10 * kSecond,
+                                     .start = 60 * kSecond,
+                                     .end = 360 * kSecond});
   EXPECT_EQ(ledger.submitted(), 1u);
   EXPECT_EQ(ledger.ended(), 1u);
   EXPECT_EQ(ledger.open(), 0u);
@@ -185,18 +186,19 @@ TEST(SpanLedger, FoldsLifecycleIntoSketches) {
 
 TEST(SpanLedger, RequeueRestartsWaitAndCancelledNeverFolds) {
   SpanLedger ledger;
-  ledger.on_submit(7, 0);
-  ledger.on_start(7, 10 * kSecond, /*secondary=*/false);
-  ledger.on_requeue(7, 20 * kSecond);
-  ledger.on_start(7, 100 * kSecond, /*secondary=*/true);
-  ledger.on_end(7, 200 * kSecond, SpanEnd::kTimeout);
+  ledger.on_submit();
+  ledger.on_start(/*secondary=*/false);
+  ledger.on_requeue();
+  ledger.on_start(/*secondary=*/true);
+  // The span carries the final attempt's start, as the record does.
+  ledger.on_end(SpanEnd::kTimeout, {.submit = 0,
+                                    .first_considered = 0,
+                                    .start = 100 * kSecond,
+                                    .end = 200 * kSecond});
   // submit -> FINAL start, matching the queue_wait_s histogram semantics.
   EXPECT_DOUBLE_EQ(ledger.wait().sum(), 100.0);
-  ledger.on_submit(8, 0);
-  ledger.on_end(8, 50 * kSecond, SpanEnd::kCancelled);
-  // Unknown ids are tolerated (a cancel can race the submit record) and
-  // must not disturb any counter.
-  ledger.on_end(99, kSecond, SpanEnd::kCancelled);
+  ledger.on_submit();
+  ledger.on_end(SpanEnd::kCancelled, {.end = 50 * kSecond});
   const JsonValue doc = parse_json(ledger.to_json());
   EXPECT_EQ(doc.at("jobs").at("requeues").as_number(), 1.0);
   EXPECT_EQ(doc.at("jobs").at("timed_out").as_number(), 1.0);
@@ -210,12 +212,12 @@ TEST(SpanLedger, RequeueRestartsWaitAndCancelledNeverFolds) {
 TEST(SpanLedger, MergeSumsCountersAndSketches) {
   SpanLedger a;
   SpanLedger b;
-  a.on_submit(1, 0);
-  a.on_start(1, kSecond, false);
-  a.on_end(1, 2 * kSecond, SpanEnd::kComplete);
-  b.on_submit(2, 0);
-  b.on_start(2, 3 * kSecond, true);
-  b.on_end(2, 5 * kSecond, SpanEnd::kComplete);
+  a.on_submit();
+  a.on_start(false);
+  a.on_end(SpanEnd::kComplete, {.start = kSecond, .end = 2 * kSecond});
+  b.on_submit();
+  b.on_start(true);
+  b.on_end(SpanEnd::kComplete, {.start = 3 * kSecond, .end = 5 * kSecond});
   a.merge_from(b);
   EXPECT_EQ(a.submitted(), 2u);
   EXPECT_EQ(a.ended(), 2u);

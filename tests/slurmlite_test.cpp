@@ -150,6 +150,33 @@ TEST(Controller, SingleJobLifecycle) {
   controller.machine_state().check_invariants();
 }
 
+TEST(Controller, HeldChildIsFirstConsideredWhenItsParentCompletes) {
+  // An afterok child waits held, outside the eligible queue, until its
+  // parent completes; the completion enqueues it and requests a pass at
+  // that instant, so its first-consider latency runs from its own submit
+  // to the parent's end.
+  sim::Engine engine;
+  obs::SpanLedger spans;
+  ControllerConfig config = small_config(core::StrategyKind::kFcfs);
+  config.spans = &spans;
+  Controller controller(engine, config, trinity());
+  controller.submit(make_job(1, 2, kHour, 2 * kHour, app_id("UMT")));
+  auto child = make_job(2, 2, 10 * kMinute, kHour, app_id("UMT"));
+  child.submit_time = 5 * kMinute;
+  child.depends_on = 1;  // two free nodes, but held on job 1
+  controller.submit(child);
+  engine.run();
+
+  const auto records = controller.job_records();
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[1].state, workload::JobState::kCompleted);
+  EXPECT_EQ(records[1].start_time, records[0].end_time);
+  // Job 1 was considered the instant it submitted, so the sum is job 2's.
+  ASSERT_EQ(spans.first_consider().count(), 2u);
+  EXPECT_DOUBLE_EQ(spans.first_consider().sum(),
+                   to_seconds(records[0].end_time - records[1].submit_time));
+}
+
 // The execution model's cost counters over every strategy's golden
 // workload (tests/golden_test.cpp): a completion event moves only when its
 // job's rate epoch changed, so reschedules never outnumber rate changes,
