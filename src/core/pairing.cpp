@@ -162,20 +162,6 @@ CoAllocator::Verdict CoAllocator::evaluate(
     const apps::AppModel& cand_app) const {
   switch (options_.gate_mode) {
     case GateMode::kOracle: {
-      // The common two-job case goes through the pair model directly.
-      if (residents.size() == 1) {
-        const auto [sd_res, sd_cand] = host.corun().pair_slowdowns(
-            residents[0]->stress, cand_app.stress);
-        const double throughput = 1.0 / sd_res + 1.0 / sd_cand;
-        if (sd_res > options_.max_dilation ||
-            sd_cand > options_.max_dilation) {
-          return {std::nullopt, obs::ReasonCode::kDilationCap};
-        }
-        if (throughput < 1.0 + options_.pairing_threshold) {
-          return {std::nullopt, obs::ReasonCode::kBelowThreshold};
-        }
-        return {throughput, obs::ReasonCode::kAccepted};
-      }
       // Reused member buffers: no malloc/free pair per gate once they
       // have grown (the no-per-pass-alloc lint rule's concern).
       stresses_.clear();
