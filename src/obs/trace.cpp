@@ -1,6 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -77,12 +76,6 @@ std::string Tracer::str() const {
   std::ostringstream out;
   for (const std::string& line : lines_) out << line << '\n';
   return out.str();
-}
-
-void Tracer::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  COSCHED_REQUIRE(out.good(), "cannot write trace file '" << path << "'");
-  out << str();
 }
 
 void Tracer::pass_begin(std::uint64_t pass, std::size_t pending,

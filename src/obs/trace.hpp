@@ -63,9 +63,10 @@ struct ReasonCounts {
 /// Collects trace records as serialized JSONL lines. One tracer per
 /// simulation; the bound engine supplies the sim-time stamp on every
 /// record (t_us = 0 until bind() — callers construct the tracer before the
-/// engine exists and the controller binds it on construction). Lines
-/// buffer in memory (a default 300-job run emits a few thousand lines) and
-/// are written out by the caller at end of run.
+/// engine exists and the controller binds it on construction). The CLI
+/// and perfbench stream each record to a sink as it is emitted
+/// (stream_to); otherwise lines buffer in memory for lines() and str(),
+/// which is how tests read a trace.
 class Tracer {
  public:
   Tracer() = default;
@@ -90,7 +91,6 @@ class Tracer {
   /// All lines, newline-terminated (the JSONL document). Buffered mode
   /// only — a streaming tracer's bytes already went to the sink.
   std::string str() const;
-  void write_file(const std::string& path) const;
 
   // --- Record emitters (schema documented in DESIGN.md) ----------------------
 

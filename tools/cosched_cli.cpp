@@ -223,9 +223,9 @@ int cmd_sim(const Flags& flags) {
   obs::Registry registry;
   obs::SpanLedger spans;
   const std::string trace_path = flags.get_string("trace", "");
-  // Trace records stream straight to the file as they are emitted (same
-  // bytes as buffering + write_file) so tracing a million-job run costs
-  // O(1) memory, not O(records).
+  // Trace records stream straight to the file as they are emitted (the
+  // bytes a buffering tracer's str() returns) so tracing a million-job run
+  // costs O(1) memory, not O(records).
   std::ofstream trace_out;
   if (!trace_path.empty()) {
     trace_out.open(trace_path);
