@@ -34,8 +34,7 @@ std::vector<int> parse_list(const std::string& csv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int bench_main(const Flags& flags) {
   const auto env = bench::BenchEnv::from_flags(flags, "bench_a10_width");
   const auto catalog = apps::Catalog::trinity();
   const auto strategy =

@@ -3,9 +3,8 @@
 // forfeits sharing opportunities.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
   const std::vector<double> thetas{0.0,  0.10, 0.30, 0.43,

@@ -3,9 +3,8 @@
 // explores deeper oversubscription as a future-work direction.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
 

@@ -12,9 +12,8 @@
 // scheduler can only learn from the runtimes a real cluster would give it.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
   const std::vector<core::GateMode> modes{core::GateMode::kOracle,

@@ -133,8 +133,7 @@ CellResult run_cell(const slurmlite::SimulationSpec& spec,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int bench_main(const Flags& flags) {
   const auto env = bench::BenchEnv::from_flags(flags, "bench_a8_scale");
   const auto catalog = apps::Catalog::trinity();
   const auto strategy =

@@ -46,8 +46,7 @@ std::string hex_digest(std::uint64_t digest) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int bench_main(const Flags& flags) {
   const auto env = bench::BenchEnv::from_flags(flags, "bench_a9_fleet");
   const auto catalog = apps::Catalog::trinity();
   const auto strategy =

@@ -216,3 +216,19 @@ inline void finish(const BenchEnv& env, const Flags& flags) {
 }
 
 }  // namespace cosched::bench
+
+/// A bench's body, defined once by each bench. The main below parses the
+/// flags and turns a cosched::Error (a rejected flag value, an unreadable
+/// input) into one `error:` line and exit 1, as the cosched CLI and the
+/// examples do.
+int bench_main(const cosched::Flags& flags);
+
+int main(int argc, char** argv) {
+  try {
+    const cosched::Flags flags(argc, argv);
+    return bench_main(flags);
+  } catch (const cosched::Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
+}

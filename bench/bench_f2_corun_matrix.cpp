@@ -3,9 +3,8 @@
 // characterization figure that motivates co-allocation-aware gating.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   auto env = bench::BenchEnv::from_flags(flags);
   const bool show_dilations = flags.get_bool("dilations", false);
   const auto catalog = apps::Catalog::trinity();

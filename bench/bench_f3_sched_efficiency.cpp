@@ -2,9 +2,8 @@
 // strategy-comparison figure (one series per scheduler).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
   const std::vector<int> sizes{100, 200, 400, 800};

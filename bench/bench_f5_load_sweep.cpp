@@ -2,9 +2,8 @@
 // loads — the load-sweep figure showing where node sharing buys headroom.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
   const std::vector<double> loads{0.5, 0.7, 0.9, 1.1, 1.3};

@@ -4,9 +4,8 @@
 
 #include "metrics/metrics.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
 

@@ -4,9 +4,8 @@
 // checking that the co-allocation gains survive locality penalties.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(const cosched::Flags& flags) {
   using namespace cosched;
-  const Flags flags(argc, argv);
   const auto env = bench::BenchEnv::from_flags(flags);
   const auto catalog = apps::Catalog::trinity();
   const std::vector<cluster::PlacementPolicy> placements{

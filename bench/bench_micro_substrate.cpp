@@ -21,7 +21,7 @@ void BM_EngineScheduleRun(benchmark::State& state) {
     sim::Engine engine;
     for (int i = 0; i < n; ++i) {
       engine.schedule_at((i * 7919) % 100000, sim::EventPriority::kTimer,
-                         [] {});
+                         "bench", [] {});
     }
     benchmark::DoNotOptimize(engine.run());
   }

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
     const auto strategy =
         core::parse_strategy(flags.get_string("strategy", "cobackfill"));
     const int nodes = flags.get_int_in("nodes", 32, 1, kMaxNodes);
-    const auto max_jobs = flags.get_int("max-jobs", 500);
+    const int max_jobs = flags.get_int_in("max-jobs", 500, 1);
     const std::string out_path = flags.get_string("out", "");
     for (const auto& unknown : flags.unused()) {
       std::cerr << "unknown flag --" << unknown << "\n";
@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
       // No trace supplied: synthesize one, archive it, and replay it —
       // demonstrating both directions of the SWF pipeline.
       workload::Generator generator(
-          workload::trinity_stream(nodes, static_cast<int>(max_jobs), 0.9),
-          catalog);
+          workload::trinity_stream(nodes, max_jobs, 0.9), catalog);
       Pcg32 rng(2024);
       jobs = generator.generate(rng);
       const std::string synth_path = "synthetic_trace.swf";
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
       std::cout << "read " << jobs.size() << " jobs from " << trace_path
                 << "\n";
     }
-    if (static_cast<std::int64_t>(jobs.size()) > max_jobs) {
+    if (jobs.size() > static_cast<std::size_t>(max_jobs)) {
       jobs.resize(static_cast<std::size_t>(max_jobs));
     }
     // SWF traces carry no shareability flag; assume the app default.

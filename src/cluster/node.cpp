@@ -8,7 +8,8 @@ Node::Node(NodeId id, const NodeConfig& config)
     : id_(id), config_(config),
       slots_(static_cast<std::size_t>(config.slots()), kInvalidJob) {
   COSCHED_CHECK(config.cores > 0);
-  COSCHED_CHECK(config.smt_per_core >= 1);
+  COSCHED_CHECK(config.smt_per_core >= 1 &&
+                config.smt_per_core <= kMaxThreadsPerCore);
 }
 
 std::vector<JobId> Node::secondary_jobs() const {

@@ -20,7 +20,7 @@ namespace cosched::cluster {
 /// Hardware shape of a node. Homogeneous across a partition in this model.
 struct NodeConfig {
   int cores = 32;          ///< physical cores
-  int smt_per_core = 2;    ///< hardware threads per core (1 = no SMT)
+  int smt_per_core = 2;    ///< 1 (no SMT) to kMaxThreadsPerCore threads/core
   int memory_gb = 128;     ///< for future memory-aware policies
 
   int hardware_threads() const { return cores * smt_per_core; }

@@ -1,6 +1,7 @@
 #include "core/pairing.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <limits>
 #include <span>
@@ -162,21 +163,20 @@ CoAllocator::Verdict CoAllocator::evaluate(
     const apps::AppModel& cand_app) const {
   switch (options_.gate_mode) {
     case GateMode::kOracle: {
-      // Reused member buffers: no malloc/free pair per gate once they
-      // have grown (the no-per-pass-alloc lint rule's concern).
-      stresses_.clear();
+      // Stack staging: a node holds at most kMaxThreadsPerCore jobs, the
+      // candidate included, so a gate allocates nothing.
+      std::array<apps::StressVector, kMaxThreadsPerCore> stresses;
+      std::size_t nstress = 0;
+      COSCHED_CHECK(residents.size() < stresses.size());
       for (const apps::AppModel* app : residents) {
-        stresses_.push_back(app->stress);
+        stresses[nstress++] = app->stress;
       }
-      stresses_.push_back(cand_app.stress);
-      const std::size_t nstress = stresses_.size();
-      slowdown_scratch_.resize(2 * nstress);
-      const std::span<double> staging(slowdown_scratch_);
-      const std::span<double> slowdowns = staging.first(nstress);
-      host.corun().slowdowns_into(stresses_, staging.subspan(nstress),
+      stresses[nstress++] = cand_app.stress;
+      std::array<double, kMaxThreadsPerCore> slowdowns{};
+      host.corun().slowdowns_into(std::span(stresses).first(nstress),
                                   slowdowns);
       double throughput = 0;
-      for (double sd : slowdowns) {
+      for (double sd : std::span(slowdowns).first(nstress)) {
         if (sd > options_.max_dilation) {
           return {std::nullopt, obs::ReasonCode::kDilationCap};
         }

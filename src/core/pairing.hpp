@@ -167,10 +167,6 @@ class CoAllocator {
   mutable std::vector<Row> merged_;  ///< refresh_table's merge target
   mutable std::vector<Admitted> admitted_;
   mutable std::vector<std::pair<double, NodeId>> ranked_;  ///< (-score, node)
-  /// Multi-resident oracle staging: the stress vectors, then 2k doubles
-  /// (slowdowns, then slowdowns_into scratch).
-  mutable std::vector<apps::StressVector> stresses_;
-  mutable std::vector<double> slowdown_scratch_;
 };
 
 }  // namespace cosched::core

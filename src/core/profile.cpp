@@ -31,17 +31,6 @@ int AvailabilityProfile::free_at(SimTime t) const {
   return steps_[step_index(t)].second;
 }
 
-int AvailabilityProfile::min_free(SimTime from, SimTime to) const {
-  COSCHED_CHECK(from <= to);
-  if (from == to) return free_at(from);
-  int lo = total_;
-  for (std::size_t i = step_index(from); i < steps_.size(); ++i) {
-    if (steps_[i].first >= to) break;
-    lo = std::min(lo, steps_[i].second);
-  }
-  return lo;
-}
-
 std::size_t AvailabilityProfile::split_at(SimTime t) {
   const std::size_t idx = step_index(t);
   if (steps_[idx].first == t) return idx;

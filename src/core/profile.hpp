@@ -27,15 +27,12 @@ class AvailabilityProfile {
   /// Free nodes at time t (t >= origin).
   int free_at(SimTime t) const;
 
-  /// Minimum free-node count over [from, to).
-  int min_free(SimTime from, SimTime to) const;
-
   /// Removes `count` nodes over [from, to). May drive segments negative if
-  /// the caller over-reserves; callers must check min_free first.
+  /// the caller over-reserves.
   void reserve(SimTime from, SimTime to, int count);
 
-  /// Earliest t >= earliest with min_free(t, t + duration) >= count;
-  /// kTimeInfinity if no such time exists (count > total).
+  /// Earliest t >= earliest with `count` nodes free throughout
+  /// [t, t + duration); kTimeInfinity if none exists (count > total).
   SimTime find_start(SimTime earliest, SimDuration duration, int count) const;
 
   /// Breakpoints (time, free-count), for tests and debugging.

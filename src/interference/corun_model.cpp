@@ -1,6 +1,7 @@
 #include "interference/corun_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/check.hpp"
@@ -17,26 +18,24 @@ CorunModel::CorunModel(CorunParams params) : params_(params) {
 
 std::vector<double> CorunModel::slowdowns(
     const std::vector<apps::StressVector>& jobs) const {
-  COSCHED_CHECK(!jobs.empty());
-  std::vector<double> scratch(jobs.size());
   std::vector<double> out(jobs.size());
-  slowdowns_into(jobs, scratch, out);
+  slowdowns_into(jobs, out);
   return out;
 }
 
 void CorunModel::slowdowns_into(std::span<const apps::StressVector> jobs,
-                                std::span<double> scratch,
                                 std::span<double> out) const {
   COSCHED_CHECK(!jobs.empty());
   const std::size_t k = jobs.size();
-  COSCHED_CHECK(scratch.size() >= k && out.size() >= k);
+  COSCHED_CHECK(k <= static_cast<std::size_t>(kMaxThreadsPerCore) &&
+                out.size() >= k);
   if (k == 1) {
     out[0] = 1.0;
     return;
   }
 
   // Step 1: cache coupling inflates effective memory-bandwidth demand.
-  std::span<double> membw_eff = scratch;
+  std::array<double, kMaxThreadsPerCore> membw_eff{};
   for (std::size_t j = 0; j < k; ++j) {
     double others_cache = 0;
     for (std::size_t o = 0; o < k; ++o) {

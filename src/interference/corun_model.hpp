@@ -61,13 +61,12 @@ class CorunModel {
       const std::vector<apps::StressVector>& jobs) const;
 
   /// Allocation-free core behind slowdowns(): writes job j's dilation to
-  /// out[j]. `scratch` is caller storage for the intermediate effective-
-  /// bandwidth terms; both spans must hold jobs.size() entries. The math
-  /// (operations and their order) is exactly the vector overload's, so the
-  /// results are bit-identical — hot paths call this with spans over
-  /// reused member buffers instead of paying a malloc per gate.
+  /// out[j], which must hold jobs.size() entries. At most
+  /// kMaxThreadsPerCore jobs share a node (one per hardware thread), so
+  /// the intermediate effective-bandwidth terms live on the stack. The
+  /// vector overload runs exactly this math, so the two are bit-identical.
   void slowdowns_into(std::span<const apps::StressVector> jobs,
-                      std::span<double> scratch, std::span<double> out) const;
+                      std::span<double> out) const;
 
   /// Convenience for the 2-way case: (primary dilation, secondary dilation).
   std::pair<double, double> pair_slowdowns(const apps::StressVector& p,

@@ -28,7 +28,6 @@ void PairEstimator::observe(AppId app, AppId partner, double dilation) {
     e.dilation = alpha_ * dilation + (1.0 - alpha_) * e.dilation;
   }
   ++e.samples;
-  ++total_;
 }
 
 const PairEstimate& PairEstimator::estimate(AppId app, AppId partner) const {

@@ -44,7 +44,6 @@ class PairEstimator {
                                             int min_samples) const;
 
   int app_count() const { return app_count_; }
-  std::size_t total_observations() const { return total_; }
 
  private:
   std::size_t index(AppId app, AppId partner) const;
@@ -52,7 +51,6 @@ class PairEstimator {
   int app_count_;
   double alpha_;
   std::vector<PairEstimate> table_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace cosched::interference

@@ -4,16 +4,6 @@
 
 namespace cosched::sim {
 
-Engine::~Engine() {
-  // Destroy payloads of events that never ran (simulation ended early).
-  for (const Entry& entry : heap_) {
-    if (!is_live(entry.id)) continue;
-    Slot& s = slot(entry.slot);
-    s.destroy(s);
-    slot_of_id_[entry.id - 1 - id_floor_] = kNoSlot;
-  }
-}
-
 std::uint32_t Engine::acquire_slot() {
   if (free_slots_.empty()) {
     const auto base =
@@ -68,8 +58,6 @@ bool Engine::cancel(EventId id) {
   if (id <= id_floor_) return false;  // compacted away: long since dead
   const std::uint32_t idx = slot_of_id_[id - 1 - id_floor_];
   if (idx == kNoSlot) return false;  // already executed or cancelled
-  Slot& s = slot(idx);
-  s.destroy(s);
   release_slot(idx);
   slot_of_id_[id - 1 - id_floor_] = kNoSlot;
   --live_events_;
@@ -135,7 +123,6 @@ bool Engine::step() {
   Slot& s = slot(entry.slot);
   const char* const label = s.label;
   s.invoke(s);  // may schedule new events; chunks never move
-  s.destroy(s);
   // Recycled only after the callback ran, so a mid-invoke schedule can
   // never alias the executing payload's slot.
   release_slot(entry.slot);

@@ -15,27 +15,28 @@
 // fuzzes it against a std::map keyed by the same triple.
 //
 // Event payloads live in a slab pool, not behind per-event heap
-// allocations: callbacks small enough for the inline buffer are
-// placement-constructed into recycled 64-byte slots (chunked arrays with
-// stable addresses), and heap entries are 24-byte trivially-copyable
-// structs that reference slots by index. Oversized callables fall back to
-// one heap allocation but still flow through a pooled slot. Cancellation
-// is O(1): a dense id -> slot table marks dead events, whose tombstoned
-// heap entries are discarded when popped — and, so that cancel-heavy
-// workloads (every job that completes cancels its walltime kill,
-// typically hours in the future) don't pile dead entries into the heap
-// until sim time reaches them, the heap is purged whenever tombstones
-// outnumber live events. The purge only deletes entries already dead and
-// re-heaps; the pop sequence of live events is untouched (a heap pops by
-// full key regardless of its internal layout), so it is invisible to
-// every decision. The table is *windowed*: ids die
-// roughly in issue order (an event either fires or is cancelled within its
-// scheduling horizon), so a monotone dead prefix is compacted away and the
-// table holds only the span from the oldest live id to the newest —
-// O(in-flight window), not O(events ever scheduled) — which is what lets a
-// million-job streaming run hold flat memory. EventId stays the plain
-// insertion counter — it is hashed by the determinism audit and written
-// into traces, so no pool, heap, or compaction detail may leak into it.
+// allocations. A payload is a trivially copyable callable of at most 40
+// bytes (a `this` pointer and a few ids, as every controller event
+// captures); it is copied into a recycled 64-byte slot (chunked arrays
+// with stable addresses) and never destroyed, and a payload outside that
+// contract does not compile. Heap entries are 24-byte trivially-copyable
+// structs that reference slots by index. Cancellation is O(1): a dense
+// id -> slot table marks dead events, whose tombstoned heap entries are
+// discarded when popped — and, so that cancel-heavy workloads (every job
+// that completes cancels its walltime kill, typically hours in the future)
+// don't pile dead entries into the heap until sim time reaches them, the
+// heap is purged whenever tombstones outnumber live events. The purge only
+// deletes entries already dead and re-heaps; the pop sequence of live
+// events is untouched (a heap pops by full key regardless of its internal
+// layout), so it is invisible to every decision. The table is *windowed*:
+// ids die roughly in issue order (an event either fires or is cancelled
+// within its scheduling horizon), so a monotone dead prefix is compacted
+// away and the table holds only the span from the oldest live id to the
+// newest — O(in-flight window), not O(events ever scheduled) — which is
+// what lets a million-job streaming run hold flat memory. EventId stays
+// the plain insertion counter — it is hashed by the determinism audit and
+// written into traces, so no pool, heap, or compaction detail may leak
+// into it.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +44,6 @@
 #include <memory>
 #include <new>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -69,10 +69,10 @@ inline constexpr EventId kInvalidEvent = 0;
 /// uses this seam for invariant validation and determinism hashing, and
 /// the obs layer mirrors it into decision traces.
 ///
-/// `label` is the event-kind string the schedule site attached ("" when the
-/// site used the unlabeled overload). It identifies what the event *was*
-/// without inferring from priority; it must never enter determinism
-/// digests — only (when, priority, id) are hashed.
+/// `label` is the event-kind string the schedule site attached. It
+/// identifies what the event *was* without inferring from priority; it
+/// must never enter determinism digests — only (when, priority, id) are
+/// hashed.
 class EventObserver {
  public:
   virtual ~EventObserver() = default;
@@ -83,7 +83,6 @@ class EventObserver {
 class Engine {
  public:
   Engine() = default;
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -93,69 +92,38 @@ class Engine {
   /// Schedules `fn` to run at absolute time `when` (>= now). `label` names
   /// the event kind for observers ("submit", "job_end", ...); it must be a
   /// string with static storage duration — the pointer is kept, not copied.
+  /// `fn` is copied into the event's slot as is: it must be trivially
+  /// copyable and fit the slot's inline storage.
   template <typename Fn>
-    requires std::is_invocable_r_v<void, std::decay_t<Fn>&>
+    requires std::is_invocable_r_v<void, Fn&>
   EventId schedule_at(SimTime when, EventPriority priority, const char* label,
-                      Fn&& fn) {
+                      Fn fn) {
+    static_assert(std::is_trivially_copyable_v<Fn> &&
+                      sizeof(Fn) <= kInlinePayload &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "an event payload must be trivially copyable and fit "
+                  "Engine::kInlinePayload bytes");
     COSCHED_CHECK_MSG(when >= now_, "event scheduled in the past: "
                                         << when << " < " << now_);
     COSCHED_CHECK(label != nullptr);
-    using Decayed = std::decay_t<Fn>;
-    if constexpr (std::is_constructible_v<bool, const Decayed&>) {
-      COSCHED_CHECK(static_cast<bool>(fn));  // null function object
+    if constexpr (std::is_constructible_v<bool, const Fn&>) {
+      COSCHED_CHECK(static_cast<bool>(fn));  // null function pointer
     }
     const std::uint32_t slot_idx = acquire_slot();
     Slot& s = slot(slot_idx);
-    if constexpr (sizeof(Decayed) <= kInlinePayload &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Decayed>) {
-      ::new (static_cast<void*>(s.storage)) Decayed(std::forward<Fn>(fn));
-      s.invoke = [](Slot& sl) {
-        (*std::launder(reinterpret_cast<Decayed*>(sl.storage)))();
-      };
-      s.destroy = [](Slot& sl) {
-        std::launder(reinterpret_cast<Decayed*>(sl.storage))->~Decayed();
-      };
-    } else {
-      // Oversized or throwing-move callable: one owning heap allocation,
-      // with the pointer parked in the slot.
-      auto owner = std::make_unique<Decayed>(std::forward<Fn>(fn));
-      ::new (static_cast<void*>(s.storage)) Decayed*(owner.release());
-      s.invoke = [](Slot& sl) {
-        (**std::launder(reinterpret_cast<Decayed**>(sl.storage)))();
-      };
-      s.destroy = [](Slot& sl) {
-        delete *std::launder(reinterpret_cast<Decayed**>(sl.storage));
-      };
-    }
+    ::new (static_cast<void*>(s.storage)) Fn(fn);
+    s.invoke = [](Slot& sl) {
+      (*std::launder(reinterpret_cast<Fn*>(sl.storage)))();
+    };
     s.label = label;
     return push_event(when, priority, slot_idx);
-  }
-  template <typename Fn>
-    requires std::is_invocable_r_v<void, std::decay_t<Fn>&>
-  EventId schedule_at(SimTime when, EventPriority priority, Fn&& fn) {
-    return schedule_at(when, priority, "", std::forward<Fn>(fn));
-  }
-
-  /// Schedules `fn` to run `delay` from now.
-  template <typename Fn>
-    requires std::is_invocable_r_v<void, std::decay_t<Fn>&>
-  EventId schedule_after(SimDuration delay, EventPriority priority,
-                         const char* label, Fn&& fn) {
-    COSCHED_CHECK(delay >= 0);
-    return schedule_at(now_ + delay, priority, label, std::forward<Fn>(fn));
-  }
-  template <typename Fn>
-    requires std::is_invocable_r_v<void, std::decay_t<Fn>&>
-  EventId schedule_after(SimDuration delay, EventPriority priority, Fn&& fn) {
-    return schedule_after(delay, priority, "", std::forward<Fn>(fn));
   }
 
   /// Cancels a pending event. Returns false if the event already ran,
   /// was cancelled before, or never existed. O(1) amortized: the payload
-  /// slot is destroyed and recycled immediately; the heap entry is
-  /// tombstoned and skipped when popped, and once tombstones outnumber
-  /// live events a sweep deletes them from the heap (see maybe_purge).
+  /// slot is recycled immediately; the heap entry is tombstoned and skipped
+  /// when popped, and once tombstones outnumber live events a sweep deletes
+  /// them from the heap (see maybe_purge).
   bool cancel(EventId id);
 
   /// Runs until the queue drains. Returns the number of events executed.
@@ -190,8 +158,8 @@ class Engine {
 
  private:
   /// Inline payload capacity: fits the controller's capture lambdas (a
-  /// `this` pointer plus a couple of ids) and a std::function fallback,
-  /// and leaves a Slot one 64-byte line.
+  /// `this` pointer plus a couple of ids; node_fail's, the largest, is 24
+  /// bytes) and leaves a Slot one 64-byte line.
   static constexpr std::size_t kInlinePayload = 40;
   static constexpr std::size_t kSlotsPerChunk = 256;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -201,7 +169,6 @@ class Engine {
   struct Slot {
     alignas(std::max_align_t) std::byte storage[kInlinePayload];
     void (*invoke)(Slot&) = nullptr;
-    void (*destroy)(Slot&) = nullptr;
     const char* label = "";  // event-kind string (static storage)
   };
   static_assert(sizeof(Slot) == 64);

@@ -41,17 +41,6 @@ Epoch ExecutionModel::start(const workload::Job& job, SimTime now,
   return e;
 }
 
-double ExecutionModel::slowdown_of(std::size_t mine) {
-  const std::size_t k = stresses_.size();
-  COSCHED_CHECK(mine < k);
-  // First half: the slowdowns; second half: slowdowns_into's scratch.
-  slowdown_scratch_.resize(2 * k);
-  const std::span<double> staging(slowdown_scratch_);
-  const std::span<double> slowdowns = staging.first(k);
-  corun_.slowdowns_into(stresses_, staging.subspan(k), slowdowns);
-  return slowdowns[mine];
-}
-
 bool ExecutionModel::settle(Epoch& e, double rate, SimTime now) {
   const bool first = e.rate == 0;
   if (!first) {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "apps/catalog.hpp"
 #include "cluster/machine.hpp"
 #include "interference/corun_model.hpp"
+#include "util/check.hpp"
 #include "util/types.hpp"
 #include "workload/job.hpp"
 
@@ -111,9 +113,6 @@ class ExecutionModel {
   std::uint64_t rate_changes() const { return rate_changes_; }
 
  private:
-  /// Co-run slowdown of the `mine`-th of the residents staged in
-  /// stresses_.
-  double slowdown_of(std::size_t mine);
   /// Gives `e` its recomputed `rate` at `now`. True when its predicted end
   /// moved (always on its first rate).
   bool settle(Epoch& e, double rate, SimTime now);
@@ -121,11 +120,6 @@ class ExecutionModel {
   const cluster::Machine& machine_;
   const apps::Catalog& catalog_;
   const interference::CorunModel& corun_;
-  /// Rate computation's per-node staging: the residents' stress vectors and
-  /// 2k doubles (slowdowns, then slowdowns_into scratch). Reused across
-  /// calls, so after warm-up a rate computation allocates nothing.
-  std::vector<apps::StressVector> stresses_;
-  std::vector<double> slowdown_scratch_;
   /// Jobs whose end moved in the last refresh_rates() (its return value).
   std::vector<JobId> moved_;
   /// Monotone id of the current refresh_rates() call (visit dedup).
@@ -138,6 +132,10 @@ std::span<const JobId> ExecutionModel::refresh_rates(
     std::span<const NodeId> dirty, SimTime now, EpochOf&& epoch_of) {
   moved_.clear();
   ++refresh_stamp_;
+  // One shared node's residents and their slowdowns, refilled per node: a
+  // node has at most kMaxThreadsPerCore slots, so they fit on the stack.
+  std::array<apps::StressVector, kMaxThreadsPerCore> stresses;
+  std::array<double, kMaxThreadsPerCore> slowdowns{};
   for (NodeId node_id : dirty) {
     for (JobId resident : machine_.node(node_id).slot_jobs()) {
       if (resident == kInvalidJob) continue;
@@ -153,15 +151,16 @@ std::span<const JobId> ExecutionModel::refresh_rates(
         // order, so compacting here reproduces the same resident sequence
         // (and thus the same FP operation order in the corun model)
         // without the vector.
-        const std::vector<JobId>& slots = node.slot_jobs();
-        stresses_.clear();
-        std::size_t mine = slots.size();
-        for (JobId co : slots) {
+        std::size_t k = 0;
+        std::size_t mine = stresses.size();
+        for (JobId co : node.slot_jobs()) {
           if (co == kInvalidJob) continue;
-          if (co == resident) mine = stresses_.size();
-          stresses_.push_back(catalog_.get(epoch_of(co).app).stress);
+          if (co == resident) mine = k;
+          stresses[k++] = catalog_.get(epoch_of(co).app).stress;
         }
-        worst = std::max(worst, slowdown_of(mine));
+        COSCHED_CHECK(mine < k);
+        corun_.slowdowns_into(std::span(stresses).first(k), slowdowns);
+        worst = std::max(worst, slowdowns[mine]);
       }
       if (settle(e, 1.0 / worst / e.locality, now)) moved_.push_back(resident);
     }

@@ -61,19 +61,6 @@ std::vector<std::string> PartitionedSystem::partition_names() const {
   return names_;
 }
 
-workload::JobList PartitionedSystem::all_records() const {
-  workload::JobList out;
-  for (const auto& controller : controllers_) {
-    const auto records = controller->job_records();
-    out.insert(out.end(), records.begin(), records.end());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const workload::Job& a, const workload::Job& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
 ControllerStats PartitionedSystem::combined_stats() const {
   ControllerStats total;
   for (const auto& controller : controllers_) {

@@ -32,10 +32,6 @@ class PartitionedSystem {
   Controller& partition(const std::string& name);
   const Controller& partition(const std::string& name) const;
   std::vector<std::string> partition_names() const;
-  std::size_t partition_count() const { return controllers_.size(); }
-
-  /// All jobs across partitions, ordered by job id.
-  workload::JobList all_records() const;
 
   /// Element-wise sum of every partition's stats.
   ControllerStats combined_stats() const;

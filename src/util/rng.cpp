@@ -52,14 +52,6 @@ double Pcg32::next_double() {
   return static_cast<double>(next_u32()) * 0x1.0p-32;
 }
 
-Pcg32 Pcg32::fork() {
-  const std::uint64_t seed =
-      (static_cast<std::uint64_t>(next_u32()) << 32) | next_u32();
-  const std::uint64_t stream =
-      (static_cast<std::uint64_t>(next_u32()) << 32) | next_u32();
-  return Pcg32(seed, stream);
-}
-
 double Pcg32::uniform(double lo, double hi) {
   COSCHED_CHECK(lo <= hi);
   return lo + (hi - lo) * next_double();
@@ -100,19 +92,6 @@ double Pcg32::normal(double mean, double stddev) {
   const double u2 = next_double();
   const double radius = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * radius * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double Pcg32::weibull(double shape, double scale) {
-  COSCHED_CHECK(shape > 0 && scale > 0);
-  return scale * std::pow(-std::log(1.0 - next_double()), 1.0 / shape);
-}
-
-double Pcg32::bounded_pareto(double alpha, double lo, double hi) {
-  COSCHED_CHECK(alpha > 0 && lo > 0 && lo < hi);
-  const double u = next_double();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
 bool Pcg32::bernoulli(double p) { return next_double() < p; }

@@ -2,9 +2,9 @@
 //
 // We carry our own PCG32 implementation instead of <random> engines because
 // (a) its output is specified, so simulation results are reproducible across
-// standard-library implementations, and (b) each subsystem can cheaply fork
-// an independent stream from a (seed, stream) pair, keeping experiments with
-// shared seeds comparable even when one subsystem draws more numbers.
+// standard-library implementations, and (b) each subsystem draws from its
+// own stream of a (seed, stream) pair, keeping experiments with shared
+// seeds comparable even when one subsystem draws more numbers.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +47,6 @@ class Pcg32 {
   /// Returns a double uniformly distributed in [0, 1).
   double next_double();
 
-  /// Forks an independent generator; deterministic given this state.
-  Pcg32 fork();
-
   // --- Distributions -------------------------------------------------------
 
   /// Uniform real in [lo, hi).
@@ -67,27 +64,11 @@ class Pcg32 {
   /// Standard normal via Box-Muller (no cached spare: deterministic draws).
   double normal(double mean, double stddev);
 
-  /// Weibull with shape k and scale lambda.
-  double weibull(double shape, double scale);
-
-  /// Bounded Pareto on [lo, hi] with tail index alpha.
-  double bounded_pareto(double alpha, double lo, double hi);
-
   /// Returns true with probability p.
   bool bernoulli(double p);
 
   /// Samples an index according to non-negative weights (sum > 0).
   std::size_t weighted_index(const std::vector<double>& weights);
-
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = next_below(static_cast<std::uint32_t>(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t state_;

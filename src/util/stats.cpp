@@ -1,49 +1,10 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.hpp"
 
 namespace cosched {
-
-void OnlineStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double OnlineStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(n_);
-  const auto n2 = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  mean_ = (n1 * mean_ + n2 * other.mean_) / total;
-  n_ += other.n_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 double quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -61,14 +22,6 @@ double mean_of(const std::vector<double>& values) {
   double s = 0;
   for (double v : values) s += v;
   return s / static_cast<double>(values.size());
-}
-
-double stddev_of(const std::vector<double>& values) {
-  if (values.size() < 2) return 0.0;
-  const double m = mean_of(values);
-  double s = 0;
-  for (double v : values) s += (v - m) * (v - m);
-  return std::sqrt(s / static_cast<double>(values.size() - 1));
 }
 
 ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& values,
@@ -91,38 +44,6 @@ ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& values,
   ci.lo = quantile(means, alpha / 2.0);
   ci.hi = quantile(std::move(means), 1.0 - alpha / 2.0);
   return ci;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  COSCHED_CHECK(buckets > 0 && lo < hi);
-}
-
-void Histogram::add(double x) {
-  const double span = hi_ - lo_;
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / span *
-                                         static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::edge(std::size_t bucket) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bucket) /
-                   static_cast<double>(counts_.size());
-}
-
-std::vector<double> Histogram::cdf() const {
-  std::vector<double> out(counts_.size(), 0.0);
-  std::size_t running = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    running += counts_[i];
-    out[i] = total_ ? static_cast<double>(running) /
-                          static_cast<double>(total_)
-                    : 0.0;
-  }
-  return out;
 }
 
 }  // namespace cosched

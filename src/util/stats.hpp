@@ -1,40 +1,12 @@
-// Statistics helpers for experiment reporting: streaming moments, order
-// statistics, histograms, and bootstrap confidence intervals.
+// Statistics helpers for experiment reporting: means, order statistics
+// and bootstrap confidence intervals.
 #pragma once
 
-#include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
 
 namespace cosched {
-
-/// Streaming mean/variance via Welford's algorithm; O(1) memory.
-class OnlineStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const;
-  double stddev() const;
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  /// Merges another accumulator (parallel-friendly Chan et al. update).
-  void merge(const OnlineStats& other);
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Returns the q-quantile (q in [0,1]) with linear interpolation between
 /// order statistics. The input is copied and sorted; empty input yields 0.
@@ -42,9 +14,6 @@ double quantile(std::vector<double> values, double q);
 
 /// Arithmetic mean; 0 for empty input.
 double mean_of(const std::vector<double>& values);
-
-/// Sample standard deviation; 0 for fewer than two values.
-double stddev_of(const std::vector<double>& values);
 
 /// Result of a bootstrap confidence-interval estimate for the mean.
 struct ConfidenceInterval {
@@ -58,26 +27,5 @@ struct ConfidenceInterval {
 ConfidenceInterval bootstrap_mean_ci(const std::vector<double>& values,
                                      double level, Pcg32& rng,
                                      int resamples = 1000);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bucket. Used for slowdown/wait distribution figures.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_[bucket]; }
-  std::size_t total() const { return total_; }
-  /// Lower edge of a bucket.
-  double edge(std::size_t bucket) const;
-  /// Empirical CDF value at each bucket's upper edge.
-  std::vector<double> cdf() const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace cosched

@@ -11,12 +11,6 @@
 
 namespace cosched::workload {
 
-struct CampaignSpec {
-  GeneratorParams params;
-  /// App weights interpretation requires the matching catalog.
-  const apps::Catalog* catalog = nullptr;
-};
-
 /// The default Trinity campaign on `machine_nodes` nodes with `job_count`
 /// jobs: uniform draw over the eight mini-apps, capability size mix capped
 /// at the machine size.

@@ -61,16 +61,19 @@ TEST(EventObserverTest, HasherSeesEveryExecutedEvent) {
   audit::EventStreamHasher hasher;
   engine.add_observer(&hasher);
   for (int i = 0; i < 5; ++i) {
-    engine.schedule_at(i * kSecond, sim::EventPriority::kTimer, [] {});
+    engine.schedule_at(i * kSecond, sim::EventPriority::kTimer, "test",
+                       [] {});
   }
   const sim::EventId cancelled =
-      engine.schedule_at(10 * kSecond, sim::EventPriority::kTimer, [] {});
+      engine.schedule_at(10 * kSecond, sim::EventPriority::kTimer, "test",
+                         [] {});
   ASSERT_TRUE(engine.cancel(cancelled));
   engine.run();
   EXPECT_EQ(hasher.events(), 5u);  // cancelled events are not observed
 
   engine.remove_observer(&hasher);
-  engine.schedule_at(20 * kSecond, sim::EventPriority::kTimer, [] {});
+  engine.schedule_at(20 * kSecond, sim::EventPriority::kTimer, "test",
+                     [] {});
   engine.run();
   EXPECT_EQ(hasher.events(), 5u);  // removed observers see nothing
 }
@@ -80,9 +83,10 @@ TEST(EventObserverTest, IdenticalScheduleIdenticalDigest) {
     sim::Engine engine;
     audit::EventStreamHasher hasher;
     engine.add_observer(&hasher);
-    engine.schedule_at(kSecond, sim::EventPriority::kSubmit, [] {});
-    engine.schedule_at(kSecond, sim::EventPriority::kJobEnd, [] {});
-    engine.schedule_at(2 * kSecond, sim::EventPriority::kReport, [] {});
+    engine.schedule_at(kSecond, sim::EventPriority::kSubmit, "test", [] {});
+    engine.schedule_at(kSecond, sim::EventPriority::kJobEnd, "test", [] {});
+    engine.schedule_at(2 * kSecond, sim::EventPriority::kReport, "test",
+                       [] {});
     engine.run();
     return hasher.digest();
   };

@@ -91,6 +91,21 @@ TEST(Node, SmtDegreeFourHostsThreeSecondaries) {
   EXPECT_EQ(node.job_count(), 4);
 }
 
+// A node keeps one slot per thread, and the corun model stages a node's
+// jobs on the stack, so the SMT degree is bounded.
+TEST(Node, SmtDegreeAtTheBoundHostsAJobPerThread) {
+  Node node(0, NodeConfig{.cores = 8, .smt_per_core = kMaxThreadsPerCore});
+  node.assign_primary(1);
+  for (JobId j = 2; j <= kMaxThreadsPerCore; ++j) node.assign_secondary(j);
+  EXPECT_FALSE(node.secondary_free());
+  EXPECT_EQ(node.job_count(), kMaxThreadsPerCore);
+}
+
+TEST(Node, RefusesAnSmtDegreeBeyondTheBound) {
+  const NodeConfig wide{.cores = 8, .smt_per_core = kMaxThreadsPerCore + 1};
+  EXPECT_DEATH(Node(0, wide), "kMaxThreadsPerCore");
+}
+
 TEST(Node, NoSmtMeansNoSecondary) {
   Node node(0, NodeConfig{.cores = 16, .smt_per_core = 1});
   node.assign_primary(1);

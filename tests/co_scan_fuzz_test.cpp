@@ -396,6 +396,55 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// The oracle gate stages a node's residents and the candidate on the
+// stack, kMaxThreadsPerCore of them at most. On nodes with every slot but
+// one taken it decides and traces exactly as the reference does: a roomy
+// corun model dilates all eight jobs by about 1.56, which a 2.0 cap admits
+// and the default 1.4 cap rejects.
+TEST(CoScanAtThreadBound, FullestNodesMatchTheReference) {
+  interference::CorunParams roomy;
+  roomy.smt_issue_gain = 1.0;
+  roomy.membw_capacity = kMaxThreadsPerCore;
+  roomy.network_capacity = kMaxThreadsPerCore;
+  for (const double cap : {1.4, 2.0}) {
+    core::CoAllocationOptions options;
+    options.gate_mode = core::GateMode::kOracle;
+    options.max_dilation = cap;
+    const core::CoAllocator table(options);
+    const testing::ReferenceCoScan reference(options);
+    testing::FakeHost host(
+        2, trinity(), cluster::NodeConfig{32, kMaxThreadsPerCore, 128},
+        roomy);
+    JobId next = 1;
+    for (NodeId n = 0; n < 2; ++n) {
+      host.add_running_primary(
+          testing::make_job(next++, 1, kHour, 4 * kHour, 0), {n});
+      for (int slot = 2; slot < kMaxThreadsPerCore; ++slot) {
+        const auto app = static_cast<AppId>((next + n) % trinity().size());
+        host.add_running_secondary(
+            testing::make_job(next++, 1, kHour, 4 * kHour, app), {n});
+      }
+    }
+    int accepted = 0;
+    for (const apps::AppModel& app : trinity().all()) {
+      const JobId cand = next++;
+      host.add_pending(testing::make_job(cand, 2, kHour, kHour, app.id));
+      obs::Tracer got_trace;
+      obs::Tracer want_trace;
+      host.set_tracer(&got_trace);
+      const auto got = table.select_nodes(host, cand, true);
+      host.set_tracer(&want_trace);
+      const auto want = reference.select_nodes(host, cand, true);
+      host.set_tracer(nullptr);
+      EXPECT_EQ(got, want) << app.name << " under cap " << cap;
+      EXPECT_EQ(got_trace.str(), want_trace.str())
+          << app.name << " under cap " << cap;
+      if (got) ++accepted;
+    }
+    EXPECT_EQ(accepted, cap > 1.5 ? trinity().size() : 0) << "cap " << cap;
+  }
+}
+
 // The table is only refreshed when the machine moves, and oracle/class-rule
 // verdicts are memoized: asking about an unchanged machine again costs no
 // gate evaluation, while learned verdicts are worked out on every call.

@@ -133,9 +133,8 @@ class ReferenceCoScan {
     std::vector<apps::StressVector> stresses;
     for (const apps::AppModel* app : residents) stresses.push_back(app->stress);
     stresses.push_back(cand_app.stress);
-    std::vector<double> scratch(stresses.size());
     std::vector<double> slowdowns(stresses.size());
-    host.corun().slowdowns_into(stresses, scratch, slowdowns);
+    host.corun().slowdowns_into(stresses, slowdowns);
     double throughput = 0;
     for (double sd : slowdowns) {
       if (sd > options_.max_dilation) {

@@ -30,7 +30,7 @@ TEST(Profile, InitiallyAllFree) {
   AvailabilityProfile p(8, 0);
   EXPECT_EQ(p.free_at(0), 8);
   EXPECT_EQ(p.free_at(1'000'000'000), 8);
-  EXPECT_EQ(p.min_free(0, kHour), 8);
+  EXPECT_EQ(p.steps().size(), 1u);
 }
 
 TEST(Profile, ReserveCarvesWindow) {
@@ -49,7 +49,8 @@ TEST(Profile, OverlappingReservationsStack) {
   EXPECT_EQ(p.free_at(150), 6);
   EXPECT_EQ(p.free_at(250), 3);
   EXPECT_EQ(p.free_at(350), 5);
-  EXPECT_EQ(p.min_free(0, 500), 3);
+  EXPECT_EQ(p.steps(), (std::vector<std::pair<SimTime, int>>{
+                           {0, 8}, {100, 6}, {200, 3}, {300, 5}, {400, 8}}));
 }
 
 TEST(Profile, FindStartImmediateWhenFree) {

@@ -91,9 +91,10 @@ class EnginePair {
  public:
   sim::EventId schedule(SimTime when, sim::EventPriority priority,
                         std::uint64_t tag) {
-    const sim::EventId e = engine_.schedule_at(when, priority, [this, tag] {
-      engine_log_.push_back(Executed{engine_.now(), tag});
-    });
+    const sim::EventId e =
+        engine_.schedule_at(when, priority, "test", [this, tag] {
+          engine_log_.push_back(Executed{engine_.now(), tag});
+        });
     const sim::EventId r = reference_.schedule(when, priority, tag);
     EXPECT_EQ(e, r);  // ids are dense insertion counters in both
     live_.push_back(e);

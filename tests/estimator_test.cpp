@@ -25,7 +25,6 @@ TEST(PairEstimator, StartsEmpty) {
   interference::PairEstimator est(4);
   EXPECT_EQ(est.estimate(0, 1).samples, 0);
   EXPECT_FALSE(est.combined_throughput(0, 1, 1).has_value());
-  EXPECT_EQ(est.total_observations(), 0u);
 }
 
 TEST(PairEstimator, FirstObservationTakenVerbatim) {

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <string>
 #include <vector>
 
@@ -388,7 +387,7 @@ TEST(EnginePool, SlotReuseKeepsIdsSequential) {
   for (int wave = 0; wave < 2; ++wave) {
     for (int i = 0; i < 300; ++i) {  // > one 256-slot chunk
       const sim::EventId id = engine.schedule_at(
-          wave * 1000 + i, sim::EventPriority::kTimer,
+          wave * 1000 + i, sim::EventPriority::kTimer, "test",
           [&order, wave, i] { order.push_back(wave * 1000 + i); });
       EXPECT_EQ(id, static_cast<sim::EventId>(wave * 300 + i + 1));
     }
@@ -403,7 +402,7 @@ TEST(EnginePool, CancelledEventsAreSkippedAndSlotsRecycled) {
   int fired = 0;
   std::vector<sim::EventId> ids;
   for (int i = 0; i < 100; ++i) {
-    ids.push_back(engine.schedule_at(i, sim::EventPriority::kTimer,
+    ids.push_back(engine.schedule_at(i, sim::EventPriority::kTimer, "test",
                                      [&fired] { ++fired; }));
   }
   for (std::size_t i = 0; i < 100; i += 2) {
@@ -417,18 +416,17 @@ TEST(EnginePool, CancelledEventsAreSkippedAndSlotsRecycled) {
   EXPECT_FALSE(engine.cancel(ids[1]));            // already executed
 }
 
-TEST(EnginePool, OversizedCallableFallsBackToHeap) {
+// A payload may fill the slot's whole inline storage.
+TEST(EnginePool, PayloadFillingTheInlineStorageRuns) {
   sim::Engine engine;
-  std::array<std::uint64_t, 32> big{};  // 256 bytes: exceeds inline buffer
-  for (std::size_t i = 0; i < big.size(); ++i) big[i] = i * 3 + 1;
   std::uint64_t sum = 0;
-  engine.schedule_at(5, sim::EventPriority::kTimer, [big, &sum] {
-    for (std::uint64_t v : big) sum += v;
-  });
+  const std::uint64_t a = 1, b = 2, c = 3, d = 4;
+  std::uint64_t* out = &sum;
+  const auto payload = [a, b, c, d, out] { *out = a + b + c + d; };
+  static_assert(sizeof(payload) == 40);
+  engine.schedule_at(5, sim::EventPriority::kTimer, "test", payload);
   engine.run();
-  std::uint64_t expected = 0;
-  for (std::size_t i = 0; i < big.size(); ++i) expected += i * 3 + 1;
-  EXPECT_EQ(sum, expected);
+  EXPECT_EQ(sum, 10u);
 }
 
 TEST(EnginePool, RescheduleFromInsideCallbackIsSafe) {
@@ -444,11 +442,12 @@ TEST(EnginePool, RescheduleFromInsideCallbackIsSafe) {
     void operator()() const {
       times.push_back(engine.now());
       if (++depth < 50) {
-        engine.schedule_after(10, sim::EventPriority::kTimer, *this);
+        engine.schedule_at(engine.now() + 10, sim::EventPriority::kTimer,
+                           "test", *this);
       }
     }
   };
-  engine.schedule_at(0, sim::EventPriority::kTimer,
+  engine.schedule_at(0, sim::EventPriority::kTimer, "test",
                      Chain{engine, depth, fire_times});
   engine.run();
   ASSERT_EQ(fire_times.size(), 50u);

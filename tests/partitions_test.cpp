@@ -29,7 +29,6 @@ std::vector<PartitionConfig> two_partitions() {
 TEST(Partitions, ConstructionAndNames) {
   sim::Engine engine;
   PartitionedSystem site(engine, two_partitions(), trinity());
-  EXPECT_EQ(site.partition_count(), 2u);
   EXPECT_EQ(site.partition_names(),
             (std::vector<std::string>{"shared", "exclusive"}));
   EXPECT_EQ(site.total_nodes(), 6);
@@ -97,22 +96,6 @@ TEST(Partitions, IndependentMachinesAndStrategies) {
   const auto stats = site.combined_stats();
   EXPECT_EQ(stats.completions, 4u);
   EXPECT_EQ(stats.secondary_starts, 1u);
-}
-
-TEST(Partitions, AllRecordsMergedById) {
-  sim::Engine engine;
-  PartitionedSystem site(engine, two_partitions(), trinity());
-  auto a = make_job(5, 1, kMinute, kHour, 0);
-  a.partition = "exclusive";
-  auto b = make_job(2, 1, kMinute, kHour, 0);
-  b.partition = "shared";
-  site.submit(a);
-  site.submit(b);
-  engine.run();
-  const auto all = site.all_records();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].id, 2);
-  EXPECT_EQ(all[1].id, 5);
 }
 
 TEST(Partitions, JobTooBigForItsPartitionIsCancelled) {

@@ -304,8 +304,8 @@ TEST(EngineIdWindow, TableStaysBoundedOverManyEvents) {
   std::size_t peak = 0;
   for (int wave = 0; wave < 500; ++wave) {
     for (int i = 0; i < 200; ++i) {
-      engine.schedule_after(kSecond, sim::EventPriority::kTimer, "tick",
-                            [] {});
+      engine.schedule_at(engine.now() + kSecond, sim::EventPriority::kTimer,
+                         "tick", [] {});
     }
     engine.run();
     peak = std::max(peak, engine.id_table_entries());

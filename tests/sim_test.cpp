@@ -16,9 +16,12 @@ TEST(Engine, StartsAtZero) {
 TEST(Engine, ExecutesInTimeOrder) {
   Engine engine;
   std::vector<int> order;
-  engine.schedule_at(30, EventPriority::kTimer, [&] { order.push_back(3); });
-  engine.schedule_at(10, EventPriority::kTimer, [&] { order.push_back(1); });
-  engine.schedule_at(20, EventPriority::kTimer, [&] { order.push_back(2); });
+  engine.schedule_at(30, EventPriority::kTimer, "test",
+                     [&] { order.push_back(3); });
+  engine.schedule_at(10, EventPriority::kTimer, "test",
+                     [&] { order.push_back(1); });
+  engine.schedule_at(20, EventPriority::kTimer, "test",
+                     [&] { order.push_back(2); });
   EXPECT_EQ(engine.run(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_EQ(engine.now(), 30);
@@ -27,9 +30,12 @@ TEST(Engine, ExecutesInTimeOrder) {
 TEST(Engine, PriorityBreaksTimeTies) {
   Engine engine;
   std::vector<int> order;
-  engine.schedule_at(5, EventPriority::kSchedule, [&] { order.push_back(2); });
-  engine.schedule_at(5, EventPriority::kJobEnd, [&] { order.push_back(1); });
-  engine.schedule_at(5, EventPriority::kReport, [&] { order.push_back(3); });
+  engine.schedule_at(5, EventPriority::kSchedule, "test",
+                     [&] { order.push_back(2); });
+  engine.schedule_at(5, EventPriority::kJobEnd, "test",
+                     [&] { order.push_back(1); });
+  engine.schedule_at(5, EventPriority::kReport, "test",
+                     [&] { order.push_back(3); });
   engine.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -38,7 +44,7 @@ TEST(Engine, InsertionOrderBreaksFullTies) {
   Engine engine;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    engine.schedule_at(7, EventPriority::kTimer,
+    engine.schedule_at(7, EventPriority::kTimer, "test",
                        [&order, i] { order.push_back(i); });
   }
   engine.run();
@@ -48,10 +54,10 @@ TEST(Engine, InsertionOrderBreaksFullTies) {
 TEST(Engine, EventsScheduledDuringRun) {
   Engine engine;
   std::vector<SimTime> times;
-  engine.schedule_at(10, EventPriority::kTimer, [&] {
+  engine.schedule_at(10, EventPriority::kTimer, "test", [&] {
     times.push_back(engine.now());
-    engine.schedule_after(5, EventPriority::kTimer,
-                          [&] { times.push_back(engine.now()); });
+    engine.schedule_at(engine.now() + 5, EventPriority::kTimer, "test",
+                       [&] { times.push_back(engine.now()); });
   });
   engine.run();
   EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
@@ -60,8 +66,8 @@ TEST(Engine, EventsScheduledDuringRun) {
 TEST(Engine, CancelPreventsExecution) {
   Engine engine;
   bool ran = false;
-  const EventId id =
-      engine.schedule_at(10, EventPriority::kTimer, [&] { ran = true; });
+  const EventId id = engine.schedule_at(10, EventPriority::kTimer, "test",
+                                        [&] { ran = true; });
   EXPECT_TRUE(engine.cancel(id));
   EXPECT_FALSE(engine.cancel(id));  // already cancelled
   engine.run();
@@ -71,7 +77,8 @@ TEST(Engine, CancelPreventsExecution) {
 
 TEST(Engine, CancelAfterExecutionFails) {
   Engine engine;
-  const EventId id = engine.schedule_at(1, EventPriority::kTimer, [] {});
+  const EventId id =
+      engine.schedule_at(1, EventPriority::kTimer, "test", [] {});
   engine.run();
   EXPECT_FALSE(engine.cancel(id));
 }
@@ -86,7 +93,7 @@ TEST(Engine, RunUntilStopsAtBoundary) {
   Engine engine;
   std::vector<SimTime> times;
   for (SimTime t : {5, 10, 15, 20}) {
-    engine.schedule_at(t, EventPriority::kTimer,
+    engine.schedule_at(t, EventPriority::kTimer, "test",
                        [&times, &engine] { times.push_back(engine.now()); });
   }
   EXPECT_EQ(engine.run_until(12), 2u);
@@ -100,7 +107,7 @@ TEST(Engine, RunUntilStopsAtBoundary) {
 TEST(Engine, RunUntilInclusiveOfBoundaryEvents) {
   Engine engine;
   int count = 0;
-  engine.schedule_at(10, EventPriority::kTimer, [&] { ++count; });
+  engine.schedule_at(10, EventPriority::kTimer, "test", [&] { ++count; });
   engine.run_until(10);
   EXPECT_EQ(count, 1);
 }
@@ -114,8 +121,8 @@ TEST(Engine, RunUntilAdvancesClockOnEmptyQueue) {
 TEST(Engine, StepExecutesExactlyOne) {
   Engine engine;
   int count = 0;
-  engine.schedule_at(1, EventPriority::kTimer, [&] { ++count; });
-  engine.schedule_at(2, EventPriority::kTimer, [&] { ++count; });
+  engine.schedule_at(1, EventPriority::kTimer, "test", [&] { ++count; });
+  engine.schedule_at(2, EventPriority::kTimer, "test", [&] { ++count; });
   EXPECT_TRUE(engine.step());
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(engine.step());
@@ -124,8 +131,9 @@ TEST(Engine, StepExecutesExactlyOne) {
 
 TEST(Engine, PendingCountsLiveEventsOnly) {
   Engine engine;
-  const EventId a = engine.schedule_at(1, EventPriority::kTimer, [] {});
-  engine.schedule_at(2, EventPriority::kTimer, [] {});
+  const EventId a =
+      engine.schedule_at(1, EventPriority::kTimer, "test", [] {});
+  engine.schedule_at(2, EventPriority::kTimer, "test", [] {});
   EXPECT_EQ(engine.pending(), 2u);
   engine.cancel(a);
   EXPECT_EQ(engine.pending(), 1u);
@@ -134,8 +142,8 @@ TEST(Engine, PendingCountsLiveEventsOnly) {
 TEST(Engine, SchedulingAtNowIsAllowed) {
   Engine engine;
   bool inner = false;
-  engine.schedule_at(5, EventPriority::kTimer, [&] {
-    engine.schedule_at(engine.now(), EventPriority::kReport,
+  engine.schedule_at(5, EventPriority::kTimer, "test", [&] {
+    engine.schedule_at(engine.now(), EventPriority::kReport, "test",
                        [&] { inner = true; });
   });
   engine.run();
@@ -150,7 +158,7 @@ TEST(Engine, ManyEventsStressAndDeterminism) {
     // A deterministic pseudo-random-ish schedule using arithmetic.
     for (int i = 0; i < 2000; ++i) {
       const SimTime t = (i * 7919) % 1000;
-      engine.schedule_at(t, EventPriority::kTimer,
+      engine.schedule_at(t, EventPriority::kTimer, "test",
                          [&log, i, t] { log.emplace_back(t, i); });
     }
     engine.run();
